@@ -1,7 +1,9 @@
 // Transient campaign throughput bench: wall time and trapezoidal solves/sec
 // for catastrophic-fault (open/short) step-response campaigns on the biquad
-// and the 6-opamp cascade, across thread counts and with the SMW low-rank
-// trajectory path on/off.
+// and the 6-opamp cascade, across thread counts.  Transient trajectories
+// always re-march exactly, so the "smw" rows run the same path as the
+// "exact" row; the low-rank setting stays in each row only because
+// bench_gate matches rows against the committed baseline by it.
 //
 // The rows join the AC rows of bench_campaign_throughput in one
 // BENCH_campaign.json: an existing file is loaded, its "analysis":
@@ -33,7 +35,7 @@ namespace json = util::json;
 struct RunSpec {
   std::string label;
   std::size_t threads;
-  bool lowrank;  // SMW low-rank trajectory solves (off = exact re-march)
+  bool lowrank;  // row key only: transient campaigns ignore the gate
 };
 
 struct RunResult {

@@ -1,9 +1,7 @@
 #include "core/campaign.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -148,17 +146,6 @@ testability::ReferenceBand ResolveBand(DftCircuit& work,
                                             options.points_per_decade);
 }
 
-// Unit-boundary checkpoint for the serial campaign loops: an optional
-// deterministic stall (tests arm `campaign.unit.stall` to slow units down
-// and cancel mid-run; its evaluation count doubles as a progress probe)
-// followed by the cooperative cancellation poll.
-void UnitBoundary(const util::CancelToken* cancel) {
-  if (util::faultpoint::ShouldFail("campaign.unit.stall")) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  if (cancel != nullptr) cancel->ThrowIfCancelled();
-}
-
 }  // namespace
 
 CampaignFrame BuildCampaignFrame(DftCircuit& work,
@@ -288,15 +275,94 @@ CampaignOptions MakePaperCampaignOptions() {
   return options;
 }
 
+namespace {
+
+// The unit's cells, in AssembleConfigRow's slot layout (nominal, then the
+// faults of [fault_begin, fault_end)).  Every cell is a pure function of
+// (configured netlist values, grid), so each path below gives the same
+// bytes at any thread count and for any split of the fault range.
+std::vector<spice::FrequencyResponse> SimulateUnit(
+    const PreparedConfig& prepared, const CampaignFrame& frame,
+    const std::vector<faults::Fault>& fault_list, std::size_t fault_begin,
+    std::size_t fault_end, const CampaignOptions& options) {
+  if (options.analysis != CampaignAnalysis::kTransient &&
+      !spice::LowRankFaultSolvesEnabled(options.mna)) {
+    // Fault-major sweeps (--no-lowrank): slot 0 is the nominal sweep, slot
+    // 1+j the unit's j-th fault.  Fault injection mutates the simulator's
+    // netlist, so every worker range owns a simulator.
+    std::vector<spice::FrequencyResponse> responses(1 + fault_end -
+                                                    fault_begin);
+    util::ParallelForRange(
+        options.threads, responses.size(),
+        [&](std::size_t begin, std::size_t end) {
+          faults::FaultSimulator simulator(prepared.netlist, frame.sweep,
+                                           frame.probe, options.mna);
+          for (std::size_t t = begin; t < end; ++t) {
+            responses[t] = t == 0 ? simulator.SimulateNominalResilient()
+                                  : simulator.SimulateFaultResilient(
+                                        fault_list[fault_begin + t - 1]);
+          }
+        });
+    return responses;
+  }
+  faults::FaultSimulator simulator(prepared.netlist, frame.sweep, frame.probe,
+                                   options.mna);
+  if (options.analysis == CampaignAnalysis::kTransient) {
+    // Fault-major trajectory marches, parallel over the unit's faults.
+    return simulator.SimulateTransientRange(fault_list, fault_begin,
+                                            fault_end, options.threads,
+                                            *frame.transient);
+  }
+  // Frequency-major: the nominal system is factored once per frequency and
+  // the unit's faults apply as SMW rank-updates against it, parallel over
+  // frequency blocks.  A unit always spans the whole grid, so the
+  // sensitivity screen's per-cell verdicts are partition-invariant too.
+  std::optional<faults::SensitivityScreenSpec> screen;
+  if (spice::SensitivityScreenEnabled(options.mna)) {
+    screen = MakeSensitivityScreenSpec(
+        prepared.criteria, frame.sweep.Frequencies().size(), options);
+  }
+  return simulator.SimulateRange(fault_list, fault_begin, fault_end,
+                                 options.threads,
+                                 screen ? &*screen : nullptr);
+}
+
+}  // namespace
+
+ConfigResult RunCampaignUnit(DftCircuit& work, const CampaignFrame& frame,
+                             const ConfigVector& cv,
+                             const std::vector<faults::Fault>& fault_list,
+                             std::size_t fault_begin, std::size_t fault_end,
+                             const CampaignOptions& options) {
+  // Unit boundary: an optional deterministic stall (tests arm
+  // `campaign.unit.stall` to slow units down and cancel mid-run; its
+  // evaluation count doubles as a progress probe), then the cooperative
+  // cancellation poll.
+  if (util::faultpoint::ShouldFail("campaign.unit.stall")) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  if (options.cancel != nullptr) options.cancel->ThrowIfCancelled();
+
+  const PreparedConfig prepared = [&] {
+    util::trace::Span span("campaign.prepare");
+    return PrepareCampaignConfig(work, frame, cv, options);
+  }();
+  std::vector<spice::FrequencyResponse> responses = [&] {
+    util::trace::Span span("campaign.simulate");
+    return SimulateUnit(prepared, frame, fault_list, fault_begin, fault_end,
+                        options);
+  }();
+  util::trace::Span span("campaign.assemble");
+  return AssembleConfigRow(cv, prepared.criteria, std::move(responses),
+                           fault_list, fault_begin, fault_end);
+}
+
 CampaignResult RunCampaign(const DftCircuit& circuit,
                            const std::vector<faults::Fault>& fault_list,
                            const std::vector<ConfigVector>& configs,
                            const CampaignOptions& options) {
   if (configs.empty()) {
     throw util::AnalysisError("campaign needs at least one configuration");
-  }
-  if (fault_list.empty()) {
-    throw util::AnalysisError("campaign needs a non-empty fault list");
   }
   metrics::GetCounter("core.campaign.runs").Add();
   metrics::GetCounter("core.campaign.configs").Add(configs.size());
@@ -308,112 +374,11 @@ CampaignResult RunCampaign(const DftCircuit& circuit,
 
   DftCircuit work = circuit.Clone();
   const CampaignFrame frame = BuildCampaignFrame(work, fault_list, options);
-
-  // Phase 1 (serial over configurations): apply each configuration, compute
-  // its detection criteria (the Monte-Carlo envelope parallelizes over
-  // samples internally) and snapshot the configured circuit.
-  std::vector<PreparedConfig> prepared;
-  prepared.reserve(configs.size());
-  {
-    util::trace::Span span("campaign.prepare");
-    for (const ConfigVector& cv : configs) {
-      UnitBoundary(options.cancel);
-      prepared.push_back(PrepareCampaignConfig(work, frame, cv, options));
-    }
-  }
-
-  // Phase 2 (parallel): simulate every (configuration, sweep) cell.
-  //
-  // Low-rank path (default): configurations run in order; inside each one
-  // the sweep is frequency-major — the nominal system is factored once per
-  // frequency and all faults apply as SMW rank-updates against it, with the
-  // frequency blocks parallelized inside SimulateRange.  Fault-major path
-  // (--no-lowrank): all (configuration, sweep) tasks on one flat index,
-  // task c*(F+1) being configuration c's nominal sweep and c*(F+1)+1+j its
-  // j-th fault.  Both paths are bit-identical across thread counts: each
-  // cell is a pure function of (configured netlist values, frequency grid).
-  const std::size_t tasks_per_config = fault_list.size() + 1;
-  const std::size_t task_count = configs.size() * tasks_per_config;
-  std::vector<spice::FrequencyResponse> responses(task_count);
-  {
-    util::trace::Span span("campaign.simulate");
-    if (options.analysis == CampaignAnalysis::kTransient) {
-      // Transient cells: fault-major trajectory marches, parallel over the
-      // fault axis inside SimulateTransientRange.
-      for (std::size_t c = 0; c < configs.size(); ++c) {
-        UnitBoundary(options.cancel);
-        faults::FaultSimulator simulator(prepared[c].netlist, frame.sweep,
-                                         frame.probe, options.mna);
-        std::vector<spice::FrequencyResponse> row =
-            simulator.SimulateTransientRange(fault_list, 0, fault_list.size(),
-                                             options.threads, *frame.transient);
-        std::move(row.begin(), row.end(),
-                  responses.begin() +
-                      static_cast<std::ptrdiff_t>(c * tasks_per_config));
-      }
-    } else if (spice::LowRankFaultSolvesEnabled(options.mna)) {
-      const bool screening = spice::SensitivityScreenEnabled(options.mna);
-      const std::size_t points = frame.sweep.Frequencies().size();
-      for (std::size_t c = 0; c < configs.size(); ++c) {
-        UnitBoundary(options.cancel);
-        faults::FaultSimulator simulator(prepared[c].netlist, frame.sweep,
-                                         frame.probe, options.mna);
-        std::optional<faults::SensitivityScreenSpec> screen;
-        if (screening) {
-          screen = MakeSensitivityScreenSpec(prepared[c].criteria, points,
-                                             options);
-        }
-        std::vector<spice::FrequencyResponse> row = simulator.SimulateRange(
-            fault_list, 0, fault_list.size(), options.threads,
-            screen ? &*screen : nullptr);
-        std::move(row.begin(), row.end(),
-                  responses.begin() +
-                      static_cast<std::ptrdiff_t>(c * tasks_per_config));
-      }
-    } else {
-      util::ParallelForRange(
-          options.threads, task_count,
-          [&](std::size_t begin, std::size_t end) {
-            std::optional<faults::FaultSimulator> simulator;
-            std::size_t simulator_config = configs.size();  // none yet
-            for (std::size_t t = begin; t < end; ++t) {
-              const std::size_t c = t / tasks_per_config;
-              const std::size_t j = t % tasks_per_config;
-              if (c != simulator_config) {
-                // Cooperative cancellation at the configuration boundary:
-                // workers quietly skip their remaining work (no cross-thread
-                // exception traffic); the caller turns the fired token into
-                // one CancelError after the parallel region.
-                if (options.cancel != nullptr && options.cancel->Cancelled()) {
-                  return;
-                }
-                simulator.emplace(prepared[c].netlist, frame.sweep,
-                                  frame.probe, options.mna);
-                simulator_config = c;
-              }
-              responses[t] =
-                  j == 0 ? simulator->SimulateNominalResilient()
-                         : simulator->SimulateFaultResilient(fault_list[j - 1]);
-            }
-          });
-      if (options.cancel != nullptr) options.cancel->ThrowIfCancelled();
-    }
-  }
-
-  // Phase 3 (serial, ordered): assemble rows in configuration order.
-  util::trace::Span assemble_span("campaign.assemble");
   std::vector<ConfigResult> per_config;
   per_config.reserve(configs.size());
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    auto first = responses.begin() +
-                 static_cast<std::ptrdiff_t>(c * tasks_per_config);
-    std::vector<spice::FrequencyResponse> row_responses(
-        std::make_move_iterator(first),
-        std::make_move_iterator(first +
-                                static_cast<std::ptrdiff_t>(tasks_per_config)));
-    per_config.push_back(AssembleConfigRow(configs[c], prepared[c].criteria,
-                                           std::move(row_responses), fault_list,
-                                           0, fault_list.size()));
+  for (const ConfigVector& cv : configs) {
+    per_config.push_back(RunCampaignUnit(work, frame, cv, fault_list, 0,
+                                         fault_list.size(), options));
   }
   return CampaignResult(fault_list, std::move(per_config), frame.band);
 }

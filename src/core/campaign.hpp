@@ -75,12 +75,12 @@ struct CampaignOptions {
   std::size_t threads = 0;
 
   /// Cooperative cancellation (non-owning; nullptr = never cancelled).
-  /// RunCampaign and the shard executor poll the token at unit boundaries
-  /// (one configuration / one shard unit) and abort with
-  /// util::CancelError when it fires — so a cancelled or deadline-expired
-  /// request stops computing within one unit.  Deliberately excluded from
-  /// CampaignContentHash: cancellation truncates work, it never changes a
-  /// completed campaign's bytes.
+  /// RunCampaignUnit polls the token at the start of every unit (one
+  /// configuration of RunCampaign, one shard unit of RunCampaignShard) and
+  /// aborts with util::CancelError when it fires — so a cancelled or
+  /// deadline-expired request stops computing within one unit.
+  /// Deliberately excluded from CampaignContentHash: cancellation
+  /// truncates work, it never changes a completed campaign's bytes.
   const util::CancelToken* cancel = nullptr;
 };
 
@@ -172,7 +172,9 @@ CampaignOptions MakePaperCampaignOptions();
 /// Run the campaign on `circuit` over `configs` (e.g. Space().All() or a
 /// pre-selected subset) and `fault_list`.  The circuit is cloned; the
 /// argument is untouched.  One AC sweep is run per (configuration, fault)
-/// pair plus one nominal sweep per configuration.
+/// pair plus one nominal sweep per configuration.  This is the 1-shard,
+/// no-checkpoint loop over RunCampaignUnit: one unit per configuration,
+/// spanning every fault.
 CampaignResult RunCampaign(const DftCircuit& circuit,
                            const std::vector<faults::Fault>& fault_list,
                            const std::vector<ConfigVector>& configs,
@@ -181,11 +183,12 @@ CampaignResult RunCampaign(const DftCircuit& circuit,
 // --- Campaign building blocks (shared with core/shard) -----------------
 //
 // The sharded executor must reproduce the monolithic campaign bit for bit,
-// so both paths are built from the same pieces: resolve the frame once,
-// prepare each configuration independently, analyze each (config, fault)
-// cell independently.  Every piece is a deterministic function of its
-// arguments (Monte-Carlo envelopes use fixed per-sample seed streams), so
-// any partition of the work matrix reassembles to identical numbers.
+// so both loops run the same unit executor (RunCampaignUnit) over the
+// same frame: resolve the frame once, then prepare, simulate and score
+// each (configuration, fault range) unit independently.  Every piece is a
+// deterministic function of its arguments (Monte-Carlo envelopes use fixed
+// per-sample seed streams), so any partition of the work matrix
+// reassembles to identical numbers.
 
 /// The campaign-wide frame: reference band, sweep grid, output probe and
 /// the component sites the tolerance envelope perturbs (fault-list order).
@@ -242,6 +245,22 @@ ConfigResult AssembleConfigRow(const ConfigVector& cv,
                                std::vector<spice::FrequencyResponse> responses,
                                const std::vector<faults::Fault>& fault_list,
                                std::size_t fault_begin, std::size_t fault_end);
+
+/// The campaign-unit executor: configuration `cv` over fault indices
+/// [fault_begin, fault_end) of `fault_list`.  Polls the unit boundary (the
+/// `campaign.unit.stall` faultpoint, then options.cancel), prepares the
+/// configuration (PrepareCampaignConfig), simulates the unit's cells and
+/// scores them (AssembleConfigRow) under the spans campaign.prepare /
+/// campaign.simulate / campaign.assemble.  The simulate step is the one
+/// place the solve path is chosen: transient trajectories, the
+/// frequency-major SMW sweep, or resilient fault-major sweeps when
+/// low-rank solves are off.  Returns the (partial) row; the unit's faulty
+/// responses are dropped before it returns.
+ConfigResult RunCampaignUnit(DftCircuit& work, const CampaignFrame& frame,
+                             const ConfigVector& cv,
+                             const std::vector<faults::Fault>& fault_list,
+                             std::size_t fault_begin, std::size_t fault_end,
+                             const CampaignOptions& options);
 
 /// Testability of the *unmodified* block (paper Sec. 2): analyze the fault
 /// list on the functional circuit only.  Returns the single-configuration

@@ -196,8 +196,30 @@ json::Value RequestToJson(const CampaignRequest& request) {
 }
 
 CampaignJob BuildCampaignJob(const CampaignRequest& request) {
-  // Mirrors the CLI's MakeSession: same defaults, same config enumeration,
-  // same option plumbing — identical knobs must hash identically.
+  // Range checks live here because every entry point (the CLI's campaign
+  // subcommands, daemon submits, the benchmark) builds its campaign
+  // through this call; RequestFromJson's casts guard outside input first.
+  if (request.ppd < 1) {
+    throw util::Error("field 'ppd' must be >= 1, got " +
+                      std::to_string(request.ppd));
+  }
+  if (request.tol > 0.0 && request.samples < 1) {
+    throw util::Error("field 'samples' must be >= 1 when tol > 0, got " +
+                      std::to_string(request.samples));
+  }
+  if (request.transient_steps < 0) {
+    throw util::Error("field 'transient_steps' must be >= 0 (0 = default), "
+                      "got " + std::to_string(request.transient_steps));
+  }
+  if (!std::isfinite(request.transient_t_end) ||
+      request.transient_t_end < 0.0) {
+    throw util::Error(
+        "field 'transient_t_end' must be finite and >= 0 (0 = auto)");
+  }
+  if (!(request.screen_margin >= 1.0)) {
+    throw util::Error("field 'screen_margin' must be >= 1");
+  }
+
   AnalogBlock block =
       request.deck.empty()
           ? circuits::FindInZoo(request.circuit).build()

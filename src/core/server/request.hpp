@@ -2,10 +2,11 @@
 //
 // A submit request names a zoo circuit (or carries raw deck text) plus the
 // campaign knobs the `mcdft analyze` CLI exposes; BuildCampaignJob turns it
-// into the exact inputs RunCampaign takes, mirroring the CLI's session
-// construction so a daemon submit and a local `mcdft analyze` of the same
-// knobs produce identical campaigns — and therefore identical content
-// hashes and identical report bytes.
+// into the exact inputs RunCampaign takes.  The CLI's campaign subcommands
+// fill a CampaignRequest from their flags and call BuildCampaignJob too, so
+// a daemon submit and a local `mcdft analyze` of the same knobs produce
+// identical campaigns — and therefore identical content hashes and
+// identical report bytes.
 //
 // `extra_faults` appends faults beyond the generated deviation list (the
 // test hook for quarantine propagation: a deviation fault whose magnitude
@@ -31,7 +32,8 @@ struct ExtraFault {
   double magnitude = 0.2;
 };
 
-/// A parsed submit request.  Defaults mirror the CLI (`mcdft analyze`).
+/// A parsed submit request.  Its defaults are the CLI defaults: `mcdft
+/// analyze` fills one from its flags.
 struct CampaignRequest {
   std::string circuit = "biquad";  ///< zoo name (ignored when deck set)
   std::string deck;                ///< raw SPICE deck text; "" = use zoo
@@ -39,7 +41,7 @@ struct CampaignRequest {
   double tol = 0.03;               ///< <= 0 disables the tolerance envelope
   int samples = 48;
   int ppd = 50;
-  int max_followers = -1;          ///< < 0 = the CLI's default k
+  int max_followers = -1;          ///< < 0 = the default k (see below)
   bool lowrank = true;
   bool batch = true;
 
@@ -98,10 +100,15 @@ struct CampaignJob {
   std::string key;  ///< CampaignContentHash of the inputs above
 };
 
-/// Build the campaign inputs for `request`, mirroring the CLI session
-/// (deviation fault list, up-to-k-followers configs minus transparent,
-/// paper campaign options with the request's knobs).  Throws util::Error
-/// on an unknown circuit, unparsable deck, or bad extra fault.
+/// Build the campaign inputs for `request` — the one place the CLI, the
+/// daemon and the benchmark turn knobs into a campaign: the analysis's
+/// fault universe, up-to-k-followers configs minus transparent (k defaults
+/// to the opamp count, capped at 2 above five opamps), paper campaign
+/// options with the request's knobs.  Throws util::Error naming the field
+/// on an out-of-range knob (ppd < 1, samples < 1 with tol > 0,
+/// transient_steps < 0, transient_t_end negative or not finite,
+/// screen_margin < 1), and on an unknown circuit, unparsable deck, or bad
+/// extra fault.
 CampaignJob BuildCampaignJob(const CampaignRequest& request);
 
 }  // namespace mcdft::core::server

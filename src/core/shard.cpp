@@ -1,17 +1,13 @@
 #include "core/shard.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
-#include <thread>
 
 #include "core/checkpoint.hpp"
 #include "spice/writer.hpp"
-#include "util/faultpoint.hpp"
 #include "util/metrics.hpp"
-#include "util/parallel.hpp"
 #include "util/trace.hpp"
 
 namespace mcdft::core {
@@ -148,34 +144,39 @@ std::string CampaignContentHash(const DftCircuit& circuit,
   }
   blob += "|backend=" + std::to_string(static_cast<int>(options.mna.backend));
   blob += "|dense=" + std::to_string(options.mna.dense_threshold);
-  // The *effective* low-rank gate, not the raw flag: SMW changes results at
-  // rounding level (~1e-12), so checkpoints from lowrank and fault-major
-  // runs must never merge — while option combinations that resolve to the
-  // same path (e.g. lowrank requested but the cache is off) hash alike.
-  blob += "|lowrank=";
-  blob += spice::LowRankFaultSolvesEnabled(options.mna) ? "1" : "0";
-  // Only the on/off gate, never the width: batched SMW solves are
-  // bit-identical at every batch width, so runs differing only in width
-  // may share checkpoints.  (The gate itself is likewise bit-identical to
-  // unbatched today — kept in the hash so a future divergence fails safe.)
-  blob += "|batch=";
-  blob += spice::BatchedFaultSolvesEnabled(options.mna) ? "1" : "0";
-  // Sensitivity screen: detectability verdicts are bit-identical either
-  // way, but a skipped cell stores its first-order deviation value, so
-  // screened and unscreened checkpoints must never merge.  Appended only
-  // when the screen is effective on this campaign (AC + low-rank path +
-  // env/option gate), so unscreened runs — and every pre-screen
-  // checkpoint — keep their hash byte for byte.  The margin moves the
-  // screened/borderline frontier, hence rides along.
-  if (options.analysis != CampaignAnalysis::kTransient &&
-      spice::SensitivityScreenEnabled(options.mna)) {
-    blob += "|screen=1|margin=";
-    AppendExact(blob, options.mna.screen_margin);
-  }
-  // Transient campaign fields are appended only when the analysis is
-  // transient, so every AC campaign (and every existing checkpoint) keeps
-  // its pre-transient hash byte for byte.
-  if (options.analysis == CampaignAnalysis::kTransient) {
+  // The low-rank and batch gates select a solve path on AC campaigns only
+  // (transient trajectories always re-march exactly), so a transient
+  // campaign hashes alike with either setting.
+  if (options.analysis != CampaignAnalysis::kTransient) {
+    // The *effective* low-rank gate, not the raw flag: SMW changes results
+    // at rounding level (~1e-12), so checkpoints from lowrank and
+    // fault-major runs must never merge — while option combinations that
+    // resolve to the same path (e.g. lowrank requested but the cache is
+    // off) hash alike.
+    blob += "|lowrank=";
+    blob += spice::LowRankFaultSolvesEnabled(options.mna) ? "1" : "0";
+    // Only the on/off gate, never the width: batched SMW solves are
+    // bit-identical at every batch width, so runs differing only in width
+    // may share checkpoints.  (The gate itself is likewise bit-identical
+    // to unbatched today — kept in the hash so a future divergence fails
+    // safe.)
+    blob += "|batch=";
+    blob += spice::BatchedFaultSolvesEnabled(options.mna) ? "1" : "0";
+    // Sensitivity screen: detectability verdicts are bit-identical either
+    // way, but a skipped cell stores its first-order deviation value, so
+    // screened and unscreened checkpoints must never merge.  Appended only
+    // when the screen is effective on this campaign (low-rank path +
+    // env/option gate), so unscreened runs — and every pre-screen
+    // checkpoint — keep their hash byte for byte.  The margin moves the
+    // screened/borderline frontier, hence rides along.
+    if (spice::SensitivityScreenEnabled(options.mna)) {
+      blob += "|screen=1|margin=";
+      AppendExact(blob, options.mna.screen_margin);
+    }
+  } else {
+    // Transient campaign fields are appended only when the analysis is
+    // transient, so every AC campaign (and every existing checkpoint)
+    // keeps its pre-transient hash byte for byte.
     blob += "|analysis=transient";
     blob += "|tend=";
     AppendExact(blob, options.transient_t_end_s);
@@ -314,76 +315,12 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
     if (slots[k]) continue;
     if (result.units_run >= shard_options.max_new_units) break;
     const ShardUnit& unit = units[k];
-
-    // Cooperative cancellation at the unit boundary: every completed unit
-    // is already durably checkpointed (write_checkpoint after each one),
-    // so aborting here loses at most the unit in flight and a later run
-    // resumes cleanly.  The stall faultpoint lets tests slow units down
-    // deterministically and cancel mid-run.
-    if (util::faultpoint::ShouldFail("campaign.unit.stall")) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    }
-    if (options.cancel != nullptr) options.cancel->ThrowIfCancelled();
-
-    util::trace::Span unit_span("shard.unit");
-    PreparedConfig prepared = [&] {
-      util::trace::Span span("shard.prepare");
-      return PrepareCampaignConfig(work, frame, configs[unit.config], options);
-    }();
-
-    const std::size_t task_count = 1 + unit.fault_end - unit.fault_begin;
-    std::vector<spice::FrequencyResponse> responses(task_count);
-    {
-      util::trace::Span span("shard.simulate");
-      if (options.analysis == CampaignAnalysis::kTransient) {
-        // Transient unit: fault-major trajectory marches against the
-        // resolved grid (parallel over the unit's fault range inside
-        // SimulateTransientRange).  Same purity argument as the AC paths:
-        // shard merges stay byte-identical to the monolithic run.
-        faults::FaultSimulator simulator(prepared.netlist, frame.sweep,
-                                         frame.probe, options.mna);
-        responses = simulator.SimulateTransientRange(
-            fault_list, unit.fault_begin, unit.fault_end, options.threads,
-            *frame.transient);
-      } else if (spice::LowRankFaultSolvesEnabled(options.mna)) {
-        // Frequency-major unit: nominal factored once per frequency, the
-        // unit's faults applied as SMW rank-updates (parallel over
-        // frequency blocks inside SimulateRange).  Each cell stays a pure
-        // function of (configured netlist, frequency), so shard merges
-        // remain byte-identical to the monolithic run.
-        faults::FaultSimulator simulator(prepared.netlist, frame.sweep,
-                                         frame.probe, options.mna);
-        // The sensitivity screen's verdicts are per-(config, fault, omega)
-        // pure functions of the configured netlist and the full sweep (a
-        // shard unit always spans the whole grid), so screened shard
-        // merges stay byte-identical to the monolithic screened run.
-        std::optional<faults::SensitivityScreenSpec> screen;
-        if (spice::SensitivityScreenEnabled(options.mna)) {
-          screen = MakeSensitivityScreenSpec(
-              prepared.criteria, frame.sweep.Frequencies().size(), options);
-        }
-        responses = simulator.SimulateRange(fault_list, unit.fault_begin,
-                                            unit.fault_end, options.threads,
-                                            screen ? &*screen : nullptr);
-      } else {
-        util::ParallelForRange(
-            options.threads, task_count,
-            [&](std::size_t begin, std::size_t end) {
-              faults::FaultSimulator simulator(prepared.netlist, frame.sweep,
-                                               frame.probe, options.mna);
-              for (std::size_t t = begin; t < end; ++t) {
-                responses[t] = t == 0
-                                   ? simulator.SimulateNominal()
-                                   : simulator.SimulateFault(
-                                         fault_list[unit.fault_begin + t - 1]);
-              }
-            });
-      }
-    }
+    // Every completed unit is already durably checkpointed, so a cancel
+    // polled at the next unit boundary (inside RunCampaignUnit) loses at
+    // most the unit in flight and a later run resumes cleanly.
     slots[k] = ShardUnitResult{
-        unit, AssembleConfigRow(configs[unit.config], prepared.criteria,
-                                std::move(responses), fault_list,
-                                unit.fault_begin, unit.fault_end)};
+        unit, RunCampaignUnit(work, frame, configs[unit.config], fault_list,
+                              unit.fault_begin, unit.fault_end, options)};
     ++result.units_run;
     metrics::GetCounter("core.shard.units_run").Add();
     write_checkpoint();

@@ -793,8 +793,7 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
 namespace {
 
 /// Per-thread-block state of a fault-major transient campaign.  Each block
-/// owns a private netlist clone (fault injection mutates element values) and
-/// the nominal transient factorization its SMW solves bind against.
+/// owns a private netlist clone (fault injection mutates element values).
 ///
 /// Determinism: a trajectory is marched start-to-finish inside one block,
 /// and every solve/escalation decision is a pure function of (netlist
@@ -807,158 +806,51 @@ class TransientBlock {
       : local_(base.Clone()),
         sys_(local_, options),
         spec_(spec),
-        ladder_(options.retry_ladder),
-        lowrank_(spice::LowRankFaultSolvesEnabled(options)) {}
-
-  /// Build the nominal transient factorization (the SMW anchor).  With the
-  /// ladder a singular nominal leaves the anchor empty — every fault then
-  /// takes the exact path; without it the exception propagates (fail-fast).
-  void BuildNominalAnchor() {
-    spice::TransientStepper nominal(sys_, local_, spec_);
-    if (!ladder_) {
-      lu_.emplace(linalg::CsrMatrix(nominal.Matrix()));
-      return;
-    }
-    try {
-      lu_.emplace(linalg::CsrMatrix(nominal.Matrix()));
-    } catch (const util::Error&) {
-      RetryCounter().Add();
-    }
-  }
+        ladder_(options.retry_ladder) {}
 
   /// March the nominal trajectory into `values` (sized spec.steps).
   /// Returns the first bad step index (spec.steps == clean); the ladder
-  /// retries a singular sparse anchor densely before giving up.
+  /// retries a singular sparse factorization densely before giving up,
+  /// without it the exception propagates (fail-fast).
   std::size_t MarchNominal(const spice::Probe& probe,
                            std::vector<linalg::Complex>& values) {
     TrajectoryCounter().Add();
     spice::TransientStepper stepper(sys_, local_, spec_);
-    if (!lu_) {
-      // Anchor failed (ladder mode): dense fallback for the nominal march.
-      std::optional<linalg::Matrix> dense;
+    std::optional<linalg::SparseLu> lu;
+    if (!ladder_) {
+      lu.emplace(linalg::CsrMatrix(stepper.Matrix()));
+    } else {
       try {
-        dense = stepper.Matrix().ToDense();
+        lu.emplace(linalg::CsrMatrix(stepper.Matrix()));
       } catch (const util::Error&) {
-        return 0;
+        RetryCounter().Add();
       }
-      return MarchLoop(
-          stepper, probe, values,
-          [&](const linalg::Vector& b) { return linalg::SolveDense(*dense, b); });
+    }
+    if (lu) {
+      return MarchLoop(stepper, probe, values, [&](const linalg::Vector& b) {
+        return lu->Solve(b);
+      });
+    }
+    // Sparse factorization failed (ladder mode): dense fallback.
+    std::optional<linalg::Matrix> dense;
+    try {
+      dense = stepper.Matrix().ToDense();
+    } catch (const util::Error&) {
+      return 0;
     }
     return MarchLoop(stepper, probe, values, [&](const linalg::Vector& b) {
-      return lu_->Solve(b);
+      return linalg::SolveDense(*dense, b);
     });
   }
 
-  /// March fault `fault` (pre-resolved `element`/`element_index`) into
-  /// `values`.  Returns the first bad step index.
+  /// March fault `fault` (pre-resolved `element`) into `values`: injection
+  /// + fresh assembly + own factorization (sparse, then with the ladder
+  /// jittered-pivot, then dense), marched from t = 0.  Returns the first
+  /// bad step index.
   std::size_t MarchFault(const Fault& fault, spice::Element& element,
-                         std::size_t element_index, const spice::Probe& probe,
-                         std::vector<linalg::Complex>& values) {
-    static metrics::Counter& smw_fallback =
-        metrics::GetCounter("transient.smw_fallback");
-    TrajectoryCounter().Add();
-    if (lowrank_ && lu_) {
-      if (TryMarchSmw(fault, element, element_index, probe, values)) {
-        return spec_.steps;
-      }
-      smw_fallback.Add();
-    }
-    return MarchExact(fault, element, probe, values);
-  }
-
- private:
-  /// SMW trajectory: one stamp delta at the transient stiffness (the
-  /// companion matrix is time-invariant, so the perturbation is reused for
-  /// every step), faulty history states from a stepper built under
-  /// injection, and per-step rank-updates against the nominal anchor.
-  /// Returns true only for a complete finite trajectory; any decline or
-  /// failure bails out to the exact path (which re-marches from t = 0).
-  bool TryMarchSmw(const Fault& fault, spice::Element& element,
-                   std::size_t element_index, const spice::Probe& probe,
-                   std::vector<linalg::Complex>& values) {
-    static metrics::Counter& smw_declined =
-        metrics::GetCounter("transient.smw_declined");
-    const double stiffness = 2.0 / spec_.StepSize();
-    bool have = false;
-    if (!ladder_) {
-      have = FaultStampDelta::Compute(sys_, element, element_index, fault,
-                                      spice::AnalysisKind::kTransient,
-                                      stiffness, scratch_, delta_);
-    } else {
-      try {
-        have = FaultStampDelta::Compute(sys_, element, element_index, fault,
-                                        spice::AnalysisKind::kTransient,
-                                        stiffness, scratch_, delta_);
-      } catch (const util::Error&) {
-        RetryCounter().Add();
-        return false;
-      }
-    }
-    if (!have) {
-      smw_declined.Add();
-      return false;
-    }
-
-    // Faulty companion states: the stepper reads element values at
-    // construction, so building it under injection bakes the faulted
-    // G_eq/R_eq into the history recursion (the matrix side of the fault
-    // is `delta_`; the stepper's own assembly is discarded).
-    std::optional<spice::TransientStepper> stepper;
-    if (!ladder_) {
-      ScopedFaultInjection injection(element, fault);
-      stepper.emplace(sys_, local_, spec_);
-    } else {
-      try {
-        ScopedFaultInjection injection(element, fault);
-        stepper.emplace(sys_, local_, spec_);
-      } catch (const util::Error&) {
-        RetryCounter().Add();
-        return false;
-      }
-    }
-
-    for (std::size_t k = 0; k < spec_.steps; ++k) {
-      StepCounter().Add();
-      if (!ladder_) {
-        smw_.Bind(*lu_, stepper->NextRhs());
-        std::optional<linalg::Vector> x = smw_.Solve(delta_);
-        if (!x) {
-          smw_declined.Add();
-          return false;
-        }
-        values[k] = ProbeValue(probe, *x);
-        stepper->Advance(*x);
-        continue;
-      }
-      try {
-        smw_.Bind(*lu_, stepper->NextRhs());
-        std::optional<linalg::Vector> x = smw_.Solve(delta_);
-        if (!x) {
-          smw_declined.Add();
-          return false;
-        }
-        const linalg::Complex v = ProbeValue(probe, *x);
-        if (!Finite(v)) {
-          RetryCounter().Add();
-          return false;
-        }
-        values[k] = v;
-        stepper->Advance(*x);
-      } catch (const util::Error&) {
-        RetryCounter().Add();
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Exact faulty trajectory: injection + fresh assembly + own
-  /// factorization (sparse, then with the ladder jittered-pivot, then
-  /// dense), marched from t = 0.  Returns the first bad step index.
-  std::size_t MarchExact(const Fault& fault, spice::Element& element,
                          const spice::Probe& probe,
                          std::vector<linalg::Complex>& values) {
+    TrajectoryCounter().Add();
     // The injection only needs to cover stepper construction: values (and
     // the faulty matrix) are captured there.
     std::optional<spice::TransientStepper> stepper;
@@ -1010,6 +902,9 @@ class TransientBlock {
     });
   }
 
+  spice::Netlist local_;
+
+ private:
   /// Shared per-step loop: solve, probe, advance.  Returns the first bad
   /// step (ladder) or throws on failure (fail-fast).
   template <typename Solver>
@@ -1058,18 +953,9 @@ class TransientBlock {
     return at(probe.plus) - at(probe.minus);
   }
 
- public:
-  spice::Netlist local_;
   spice::MnaSystem sys_;
-
- private:
   spice::TransientSpec spec_;
-  std::optional<linalg::SparseLu> lu_;  // nominal anchor factorization
-  linalg::LowRankUpdateSolver smw_;
-  FaultStampDelta::Scratch scratch_;
-  linalg::LowRankPerturbation delta_;
   bool ladder_ = true;
-  bool lowrank_ = true;
 };
 
 }  // namespace
@@ -1101,7 +987,6 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
 
   // Nominal trajectory (serial; a trajectory has no parallel axis).
   TransientBlock nominal_block(work_, options_, spec);
-  nominal_block.BuildNominalAnchor();
   const std::size_t nominal_good =
       nominal_block.MarchNominal(probe_, out[0].values);
 
@@ -1111,13 +996,11 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
   util::ParallelForRange(
       threads, count, [&](std::size_t begin, std::size_t end) {
         TransientBlock block(work_, options_, spec);
-        block.BuildNominalAnchor();
         for (std::size_t j = begin; j < end; ++j) {
           const Fault& fault = faults[fault_begin + j];
           spice::Element& element = block.local_.GetElement(fault.Device());
-          const std::size_t index = block.sys_.ElementIndexOf(fault.Device());
           first_bad[j] =
-              block.MarchFault(fault, element, index, probe_, out[1 + j].values);
+              block.MarchFault(fault, element, probe_, out[1 + j].values);
         }
       });
 

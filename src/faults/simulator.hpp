@@ -97,13 +97,12 @@ class FaultSimulator {
   ///
   /// The path is fault-major — a trajectory is sequential in time, so the
   /// parallel axis is the fault range.  Each worker block owns a netlist
-  /// clone and the nominal transient factorization; a fault whose stamp
-  /// delta admits a low-rank update marches through per-step SMW solves
-  /// against that shared factorization, others (and any SMW bail-out)
-  /// re-march exactly from t = 0 under ScopedFaultInjection with their own
-  /// factorization.  Every value is a pure function of (netlist values,
-  /// fault, spec), so results — including quarantine masks — are
-  /// bit-identical at any thread or shard count.
+  /// clone; every fault re-marches exactly from t = 0 under
+  /// ScopedFaultInjection with its own factorization (low-rank solves are
+  /// never used here, whatever spice::LowRankFaultSolvesEnabled says).
+  /// Every value is a pure function of (netlist values, fault, spec), so
+  /// results — including quarantine masks — are bit-identical at any
+  /// thread or shard count.
   ///
   /// With options.retry_ladder, a trajectory that fails at step k (after
   /// sparse -> jittered-pivot -> dense escalation) is quarantined from k to

@@ -34,10 +34,11 @@ struct MnaOptions {
   /// and parametric (value-only) faults, doing numeric-only refactorization
   /// per point.  kDense is unaffected (dense LU has no reusable analysis).
   bool cache_factorization = true;
-  /// When true, fault campaigns may solve faulty systems as rank-<=2
+  /// When true, AC fault campaigns may solve faulty systems as rank-<=2
   /// Sherman-Morrison-Woodbury updates against the nominal factorization
   /// (frequency-major sweeps) instead of refactoring per (fault, omega)
-  /// cell.  Results change only at rounding level (~1e-12 relative);
+  /// cell; transient campaigns ignore it and always re-march exactly.
+  /// Results change only at rounding level (~1e-12 relative);
   /// `mcdft analyze --no-lowrank` or MCDFT_LOWRANK=0 restore the exact
   /// fault-major path.  Only effective with cache_factorization and a
   /// sparse-capable backend — see LowRankFaultSolvesEnabled().

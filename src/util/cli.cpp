@@ -53,8 +53,9 @@ const char* EnvOverridesHelp() {
   return
       "Environment overrides (read once per process; flags still apply on\n"
       "top, an override of 0/off wins over any flag):\n"
-      "  MCDFT_LOWRANK=0   disable low-rank (SMW) fault solves: classic\n"
-      "                    fault-major sweeps (also --no-lowrank)\n"
+      "  MCDFT_LOWRANK=0   disable low-rank (SMW) AC fault solves: classic\n"
+      "                    fault-major sweeps (also --no-lowrank); transient\n"
+      "                    campaigns always re-march exactly\n"
       "  MCDFT_BATCH=0     disable batched multi-RHS SMW fault solves,\n"
       "                    keeping per-fault updates (also --no-batch)\n"
       "  MCDFT_SCREEN=0    disable the adjoint sensitivity screen (also\n"

@@ -215,6 +215,59 @@ TEST_F(Resilience, QuarantineSurvivesCheckpointRoundTripAndMerge) {
   }
 }
 
+// The shard-merge and quarantine contracts hold on every solve path: the
+// poisoned campaign quarantines the same cells and merges bit-identical to
+// the monolithic run at 1, 2 and 4 shards, with low-rank solves on or off
+// (the fault-major path) and on AC as on transient.
+TEST_F(Resilience, ShardContractHoldsOnEverySolvePath) {
+  const Prepared p = PreparePoisonedBiquad();
+  for (const CampaignAnalysis analysis :
+       {CampaignAnalysis::kAc, CampaignAnalysis::kTransient}) {
+    // The poisoned fault's column: 7 configurations x 21 grid points (AC)
+    // or x 32 time steps (transient).
+    const std::size_t expected_quarantined =
+        analysis == CampaignAnalysis::kAc ? 147 : 224;
+    for (const bool lowrank : {true, false}) {
+      CampaignOptions options = FastOptions();
+      options.analysis = analysis;
+      options.transient_steps = 32;
+      options.mna.lowrank_fault_updates = lowrank;
+      const std::string what = std::string(CampaignAnalysisName(analysis)) +
+                               (lowrank ? " low-rank" : " fault-major");
+
+      const CampaignResult monolithic =
+          RunCampaign(p.circuit, p.fault_list, p.configs, options);
+      EXPECT_EQ(monolithic.QuarantinedCellCount(), expected_quarantined)
+          << what;
+
+      for (std::size_t count :
+           {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        const fs::path ck =
+            dir_ / (std::string(CampaignAnalysisName(analysis)) +
+                    (lowrank ? "_lowrank_" : "_exact_") +
+                    std::to_string(count));
+        std::vector<std::string> paths;
+        for (std::size_t index = 0; index < count; ++index) {
+          ShardRunOptions shard_options;
+          shard_options.shard = ShardSpec{index, count};
+          shard_options.checkpoint_dir = ck.string();
+          const ShardRunResult run = RunCampaignShard(
+              p.circuit, p.fault_list, p.configs, options, shard_options);
+          EXPECT_TRUE(run.complete) << what;
+          paths.push_back(run.shard_path);
+        }
+        const MergedCampaign merged = MergeShards(paths);
+        EXPECT_EQ(merged.campaign.QuarantinedCellCount(),
+                  expected_quarantined)
+            << what << " @" << count << " shards";
+        ExpectBitIdentical(monolithic, merged.campaign,
+                           what + " merge @" + std::to_string(count) +
+                               " shards");
+      }
+    }
+  }
+}
+
 TEST_F(Resilience, RunReportRecordsQuarantinedCells) {
   const Prepared p = PreparePoisonedBiquad();
   const CampaignOptions options = FastOptions();

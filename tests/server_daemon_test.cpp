@@ -330,5 +330,40 @@ TEST(ServerDaemon, RealBinariesSubmitShutdownRoundTrip) {
   fs::remove_all(dir);
 }
 
+// Out-of-range knobs stop in BuildCampaignJob, which every entry point
+// reaches: the real CLI exits 1 with a message naming the request field
+// instead of aborting on a negative sample count or wrapping a negative
+// grid density into a huge size_t.
+TEST(ServerDaemon, CliRejectsOutOfRangeRequestFields) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mcdft_cli_range_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string err = (dir / "stderr.txt").string();
+  const std::string cli = MCDFT_CLI_BIN;
+  struct Case {
+    const char* flags;
+    const char* field;
+  };
+  for (const Case c : {Case{"--samples -1", "'samples'"},
+                       Case{"--samples 0", "'samples'"},
+                       Case{"--ppd -1", "'ppd'"},
+                       Case{"--ppd 0", "'ppd'"},
+                       Case{"--analysis transient --steps -1",
+                            "'transient_steps'"},
+                       Case{"--analysis transient --t-end -1",
+                            "'transient_t_end'"},
+                       Case{"--screen-margin 0.5", "'screen_margin'"}}) {
+    EXPECT_EQ(RunCmd(cli + " analyze --circuit biquad " + c.flags +
+                     " > /dev/null 2> " + err),
+              1)
+        << c.flags;
+    const std::string message = ReadBytes(err);
+    EXPECT_NE(message.find(c.field), std::string::npos)
+        << c.flags << ": " << message;
+  }
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace mcdft::core::server

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace mcdft::util {
 namespace {
 
@@ -68,6 +71,13 @@ struct EngCase {
   double value;
 };
 
+// Names each case by its text.  The default printer dumps the struct's
+// bytes, and the pointer among them moves with the load address, so the
+// CTest name of a case would change from one build to the next.
+void PrintTo(const EngCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text));
+}
+
 class ParseEngineeringTest : public ::testing::TestWithParam<EngCase> {};
 
 TEST_P(ParseEngineeringTest, ParsesSuffix) {
@@ -90,6 +100,10 @@ INSTANTIATE_TEST_SUITE_P(
 struct BadEngCase {
   const char* text;
 };
+
+void PrintTo(const BadEngCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text));
+}
 
 class ParseEngineeringRejectTest : public ::testing::TestWithParam<BadEngCase> {
 };

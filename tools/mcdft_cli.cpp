@@ -34,8 +34,10 @@
 //   --steps N                  transient step count (default 256)
 //   --preselect                run the sensitivity screen first
 //   --no-lowrank               disable the frequency-major low-rank (SMW)
-//                              fault solves; classic fault-major sweeps
-//                              (MCDFT_LOWRANK=0 does the same globally)
+//                              AC fault solves; classic fault-major sweeps
+//                              (MCDFT_LOWRANK=0 does the same globally).
+//                              AC only: transient campaigns always
+//                              re-march every fault exactly
 //   --no-batch                 disable batched (multi-RHS SIMD) SMW fault
 //                              solves, keeping per-fault low-rank updates
 //                              (MCDFT_BATCH=0 does the same globally)
@@ -97,7 +99,6 @@
 #include "core/run_report.hpp"
 #include "core/shard.hpp"
 #include "core/test_plan.hpp"
-#include "faults/fault_list.hpp"
 #include "spice/parser.hpp"
 #include "util/cancel.hpp"
 #include "util/cli.hpp"
@@ -108,26 +109,57 @@ namespace {
 
 using namespace mcdft;
 
-/// Everything a subcommand needs, built from the common flags.
+/// The campaign request the shared flags describe.  `analyze`, `optimize`,
+/// `plan`, `diagnose` and `submit` all start from it, and the campaign
+/// itself is built by core::server::BuildCampaignJob — the call the daemon
+/// makes — so a local run and a submit of the same flags are one campaign.
+core::server::CampaignRequest RequestFromArgs(const util::CliArgs& args) {
+  core::server::CampaignRequest r;
+  if (args.Has("deck")) {
+    const std::string path = args.GetString("deck", "");
+    std::ifstream in(path);
+    if (!in) throw util::Error("cannot open netlist file '" + path + "'");
+    std::ostringstream text;
+    text << in.rdbuf();
+    r.deck = text.str();
+  } else {
+    r.circuit = args.GetString("circuit", r.circuit);
+  }
+  r.eps = args.GetDouble("eps", r.eps);
+  r.tol = args.GetDouble("tol", r.tol);
+  r.samples = args.GetInt("samples", r.samples);
+  r.ppd = args.GetInt("ppd", r.ppd);
+  r.max_followers = args.GetInt("max-followers", r.max_followers);
+  r.lowrank = !args.Has("no-lowrank");
+  r.batch = !args.Has("no-batch");
+  r.screen = !args.Has("no-screen");
+  r.screen_margin = args.GetDouble("screen-margin", r.screen_margin);
+  r.analysis = args.GetString("analysis", r.analysis);
+  r.fault_universe = args.GetString("faults", r.fault_universe);
+  r.transient_t_end = args.GetDouble("t-end", r.transient_t_end);
+  r.transient_steps = args.GetInt("steps", r.transient_steps);
+  return r;
+}
+
+/// A local campaign: the job the shared flags build, plus the CLI-only
+/// run controls.
 struct Session {
-  core::DftCircuit circuit;
-  std::vector<faults::Fault> fault_list;
-  std::vector<core::ConfigVector> configs;
-  core::CampaignOptions options;
-  std::string circuit_name;
+  core::server::CampaignJob job;
   std::string report_path;     // --report FILE; empty = no run report
   std::string checkpoint_dir;  // --checkpoint DIR; empty = no checkpoints
   core::ShardSpec shard;       // --shard i/N; default 0/1 (everything)
 
   core::CampaignResult RunCampaignNow() const {
     if (report_path.empty()) {
-      return core::RunCampaign(circuit, fault_list, configs, options);
+      return core::RunCampaign(job.circuit, job.fault_list, job.configs,
+                               job.options);
     }
     core::CampaignRunRecorder recorder;
-    auto campaign = core::RunCampaign(circuit, fault_list, configs, options);
+    auto campaign = core::RunCampaign(job.circuit, job.fault_list,
+                                      job.configs, job.options);
     core::RunReportOptions report_options;
-    report_options.circuit = circuit_name;
-    report_options.threads = options.threads;
+    report_options.circuit = job.circuit_name;
+    report_options.threads = job.options.threads;
     core::WriteRunReport(recorder.Finish(campaign, report_options),
                          report_path);
     std::fprintf(stderr, "run report written to %s\n", report_path.c_str());
@@ -143,106 +175,28 @@ core::AnalogBlock LoadBlock(const util::CliArgs& args) {
   return circuits::FindInZoo(args.GetString("circuit", "biquad")).build();
 }
 
-/// `--faults deviation|catastrophic|both` (or "" for the analysis default:
-/// deviation for AC, catastrophic opens+shorts for transient).  Mirrored in
-/// core::server::BuildCampaignJob — same knobs must produce the same list.
-std::vector<faults::Fault> BuildFaultUniverse(
-    const core::DftCircuit& circuit, std::string universe,
-    core::CampaignAnalysis analysis) {
-  if (universe.empty()) {
-    universe = analysis == core::CampaignAnalysis::kTransient ? "catastrophic"
-                                                              : "deviation";
-  }
-  if (universe == "deviation") {
-    return faults::MakeDeviationFaults(circuit.Circuit());
-  }
-  if (universe == "catastrophic") {
-    return faults::MakeCatastrophicFaults(circuit.Circuit());
-  }
-  if (universe == "both") {
-    return faults::MergeFaultLists(
-        {faults::MakeDeviationFaults(circuit.Circuit()),
-         faults::MakeCatastrophicFaults(circuit.Circuit())});
-  }
-  throw util::Error("--faults must be deviation/catastrophic/both, got '" +
-                    universe + "'");
-}
-
 Session MakeSession(const util::CliArgs& args) {
-  auto block = LoadBlock(args);
-  core::DftCircuit circuit = core::DftCircuit::Transform(block);
-
-  const std::string analysis_name = args.GetString("analysis", "ac");
-  const std::optional<core::CampaignAnalysis> analysis =
-      core::ParseCampaignAnalysis(analysis_name);
-  if (!analysis) {
-    throw util::Error("--analysis must be ac or transient, got '" +
-                      analysis_name + "'");
-  }
-  auto fault_list =
-      BuildFaultUniverse(circuit, args.GetString("faults", ""), *analysis);
-
-  auto options = core::MakePaperCampaignOptions();
-  options.analysis = *analysis;
-  const double t_end = args.GetDouble("t-end", 0.0);
-  if (t_end < 0.0) throw util::Error("--t-end must be >= 0 (0 = auto)");
-  if (t_end > 0.0) options.transient_t_end_s = t_end;
-  const int steps = args.GetInt("steps", 0);
-  if (steps < 0) throw util::Error("--steps must be > 0");
-  if (steps > 0) options.transient_steps = static_cast<std::size_t>(steps);
-  options.criteria.epsilon = args.GetDouble("eps", 0.08);
-  options.points_per_decade =
-      static_cast<std::size_t>(args.GetInt("ppd", 50));
-  const double tol = args.GetDouble("tol", 0.03);
-  if (tol <= 0.0) {
-    options.tolerance.reset();
-  } else {
-    options.tolerance->component_tolerance = tol;
-    options.tolerance->samples =
-        static_cast<std::size_t>(args.GetInt("samples", 48));
-  }
-  if (args.Has("no-lowrank")) options.mna.lowrank_fault_updates = false;
-  if (args.Has("no-batch")) options.mna.fault_batch = 0;
-  if (args.Has("no-screen")) options.mna.sensitivity_screen = false;
-  const double screen_margin = args.GetDouble("screen-margin", 8.0);
-  if (!(screen_margin >= 1.0)) {
-    throw util::Error("--screen-margin must be >= 1");
-  }
-  options.mna.screen_margin = screen_margin;
-
-  auto space = circuit.Space();
-  const std::size_t default_k = space.OpampCount() > 5 ? 2 : space.OpampCount();
-  const std::size_t k = static_cast<std::size_t>(
-      args.GetInt("max-followers", static_cast<int>(default_k)));
-  std::vector<core::ConfigVector> configs = space.UpToKFollowers(k);
-  std::erase_if(configs, [](const core::ConfigVector& cv) {
-    return cv.IsTransparent();
-  });
+  core::server::CampaignJob job =
+      core::server::BuildCampaignJob(RequestFromArgs(args));
+  // Reports name a deck by its path.
+  if (args.Has("deck")) job.circuit_name = args.GetString("deck", "");
 
   if (args.Has("preselect")) {
-    auto pre = core::PreselectConfigurations(circuit, fault_list, configs);
+    auto pre = core::PreselectConfigurations(job.circuit, job.fault_list,
+                                             job.configs);
     std::printf("pre-selection kept %zu of %zu configurations:",
-                pre.selected.size(), configs.size());
+                pre.selected.size(), job.configs.size());
     for (const auto& cv : pre.selected) std::printf(" %s", cv.Name().c_str());
     std::printf("\n\n");
-    configs = pre.selected;
+    job.configs = pre.selected;
   }
 
-  std::string circuit_name = args.Has("deck") ? args.GetString("deck", "")
-                                              : args.GetString("circuit",
-                                                               "biquad");
   core::ShardSpec shard;  // 0 of 1
   if (args.Has("shard")) {
     shard = core::ParseShardSpec(args.GetString("shard", ""));
   }
-  return Session{std::move(circuit),
-                 std::move(fault_list),
-                 std::move(configs),
-                 std::move(options),
-                 std::move(circuit_name),
-                 args.GetString("report", ""),
-                 args.GetString("checkpoint", ""),
-                 shard};
+  return Session{std::move(job), args.GetString("report", ""),
+                 args.GetString("checkpoint", ""), shard};
 }
 
 int CmdList() {
@@ -354,8 +308,8 @@ int CmdAnalyze(const util::CliArgs& args) {
   shard_options.shard = session.shard;
   shard_options.checkpoint_dir = session.checkpoint_dir;
   const core::ShardRunResult run = core::RunCampaignShard(
-      session.circuit, session.fault_list, session.configs, session.options,
-      shard_options);
+      session.job.circuit, session.job.fault_list, session.job.configs,
+      session.job.options, shard_options);
   std::fprintf(stderr,
                "shard %s: %zu units (%zu resumed, %zu run) -> %s\n",
                session.shard.Name().c_str(), run.units_total,
@@ -385,8 +339,8 @@ int CmdAnalyze(const util::CliArgs& args) {
   core::MergedCampaign merged = core::MergeShards({run.shard_path});
   if (!session.report_path.empty()) {
     core::RunReportOptions report_options;
-    report_options.circuit = session.circuit_name;
-    report_options.threads = session.options.threads;
+    report_options.circuit = session.job.circuit_name;
+    report_options.threads = session.job.options.threads;
     core::WriteRunReport(recorder.Finish(merged.campaign, report_options),
                          session.report_path);
     std::fprintf(stderr, "run report written to %s\n",
@@ -445,14 +399,15 @@ int CmdMerge(const util::CliArgs& args) {
 int CmdOptimize(const util::CliArgs& args) {
   Session session = MakeSession(args);
   auto campaign = session.RunCampaignNow();
-  core::DftOptimizer optimizer(session.circuit, campaign);
+  core::DftOptimizer optimizer(session.job.circuit, campaign);
   auto fundamental = optimizer.SolveFundamental();
   std::printf("%s\n", core::RenderFundamental(fundamental, campaign).c_str());
   auto sel = optimizer.OptimizeConfigurationCount();
   std::printf("%s\n", core::RenderSelection(sel, campaign).c_str());
   auto part = optimizer.OptimizePartialDft();
   std::printf("%s\n",
-              core::RenderPartialDft(part, campaign, session.circuit).c_str());
+              core::RenderPartialDft(part, campaign, session.job.circuit)
+                  .c_str());
   return 0;
 }
 
@@ -465,7 +420,7 @@ int CmdPlan(const util::CliArgs& args) {
   }
   plan_options.exact = args.Has("exact");
   if (args.Has("sopt")) {
-    core::DftOptimizer optimizer(session.circuit, campaign);
+    core::DftOptimizer optimizer(session.job.circuit, campaign);
     auto sel = optimizer.OptimizeConfigurationCount();
     plan_options.rows = sel.selected.rows.Variables();
     std::printf("restricting the plan to S_opt = %s\n\n",
@@ -591,39 +546,9 @@ int CmdSubmit(const util::CliArgs& args) {
                                                 : "shutdown"));
     }
   } else {
-    core::server::CampaignRequest r;
-    if (args.Has("deck")) {
-      const std::string deck_path = args.GetString("deck", "");
-      std::ifstream in(deck_path);
-      if (!in) {
-        std::fprintf(stderr, "error: cannot read deck %s\n",
-                     deck_path.c_str());
-        return 2;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      r.deck = text.str();
-    } else {
-      r.circuit = args.GetString("circuit", "biquad");
-    }
-    r.eps = args.GetDouble("eps", r.eps);
-    r.tol = args.GetDouble("tol", r.tol);
-    r.samples = args.GetInt("samples", r.samples);
-    r.ppd = args.GetInt("ppd", r.ppd);
-    r.max_followers = args.GetInt("max-followers", r.max_followers);
-    if (args.Has("no-lowrank")) r.lowrank = false;
-    if (args.Has("no-batch")) r.batch = false;
-    if (args.Has("no-screen")) r.screen = false;
-    r.screen_margin = args.GetDouble("screen-margin", r.screen_margin);
-    if (!(r.screen_margin >= 1.0)) {
-      throw util::Error("--screen-margin must be >= 1");
-    }
+    core::server::CampaignRequest r = RequestFromArgs(args);
     r.threads = args.GetInt("threads", r.threads);
     r.priority = args.GetInt("priority", r.priority);
-    r.analysis = args.GetString("analysis", r.analysis);
-    r.fault_universe = args.GetString("faults", r.fault_universe);
-    r.transient_t_end = args.GetDouble("t-end", r.transient_t_end);
-    r.transient_steps = args.GetInt("steps", r.transient_steps);
     if (args.Has("extra-fault")) {
       r.extra_faults = ParseExtraFaults(args.GetString("extra-fault", ""));
     }
@@ -763,7 +688,7 @@ void PrintUsage() {
       "             [--samples N] [--ppd N] [--max-followers K] [--preselect]\n"
       "             [--analysis ac|transient] [--faults deviation|\n"
       "              catastrophic|both] [--t-end SECONDS] [--steps N]\n"
-      "             [--no-lowrank] [--no-batch] [--no-screen]\n"
+      "             [--no-lowrank (AC only)] [--no-batch] [--no-screen]\n"
       "             [--screen-margin X] [--report FILE]\n"
       "             [analyze: --shard i/N --checkpoint DIR]\n"
       "             [merge: --checkpoint DIR]\n"
