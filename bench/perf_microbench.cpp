@@ -162,6 +162,29 @@ void BM_Cascade6AcPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_Cascade6AcPoint)->Arg(0)->Arg(1);
 
+// One envelope-sample sweep: a 201-point AcAnalyzer::Run (4 decades at 50
+// points/decade, the campaign grid) on a full-space cascade6 configuration
+// with four opamps in follower mode.  "per_point" is the cost of one sweep
+// point: stamp-program replay, refactorization and solve.
+void BM_AcSweepCascade6(benchmark::State& state) {
+  core::DftCircuit circuit =
+      core::DftCircuit::Transform(circuits::BuildCascade6());
+  core::ScopedConfiguration config(
+      circuit, core::ConfigVector::FromBits("101010100"));
+  const auto sweep = spice::SweepSpec::Decade(100.0, 1e6, 50);
+  const spice::Probe probe{circuit.Circuit().FindNode(circuit.OutputNode()),
+                           spice::kGround, "v(out)"};
+  spice::AcAnalyzer analyzer(circuit.Circuit());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyzer.Run(sweep, probe));
+  }
+  state.counters["per_point"] = benchmark::Counter(
+      static_cast<double>(sweep.PointCount()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AcSweepCascade6);
+
 // --- Low-rank fault-solve kernel -------------------------------------
 //
 // The per-(fault, frequency) cell of a frequency-major campaign, isolated:

@@ -1,7 +1,9 @@
 #include "core/campaign.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -357,6 +359,59 @@ ConfigResult RunCampaignUnit(DftCircuit& work, const CampaignFrame& frame,
                            fault_list, fault_begin, fault_end);
 }
 
+namespace {
+
+/// Whole units per worker: each worker owns a clone of the circuit, claims
+/// the next configuration index from a shared counter and runs that unit
+/// serially, storing the row by index.  Units run at threads = 1: the
+/// caller runs worker 0 itself and is not a pool worker, so a parallel
+/// section nested in its units would queue behind the other workers'
+/// whole-campaign tasks.  After a unit throws no worker claims a new one;
+/// every unit below it was already claimed and runs to its end, so the
+/// lowest-index failure rethrown here is the one the serial loop would
+/// have thrown first.  Every row is a pure function of its unit, so the
+/// claim order never reaches the bytes.
+std::vector<ConfigResult> RunUnitsPerWorker(
+    const DftCircuit& work, const CampaignFrame& frame,
+    const std::vector<faults::Fault>& fault_list,
+    const std::vector<ConfigVector>& configs, const CampaignOptions& options,
+    std::size_t threads) {
+  CampaignOptions unit_options = options;
+  unit_options.threads = 1;
+  std::vector<DftCircuit> clones;
+  clones.reserve(threads);
+  for (std::size_t w = 0; w < threads; ++w) clones.push_back(work.Clone());
+
+  std::vector<std::optional<ConfigResult>> rows(configs.size());
+  std::vector<std::exception_ptr> errors(configs.size());
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  util::ParallelForRange(threads, threads, [&](std::size_t worker,
+                                               std::size_t) {
+    DftCircuit& local = clones[worker];
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= configs.size()) return;
+      try {
+        rows[i] = RunCampaignUnit(local, frame, configs[i], fault_list, 0,
+                                  fault_list.size(), unit_options);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  std::vector<ConfigResult> out;
+  out.reserve(rows.size());
+  for (std::optional<ConfigResult>& row : rows) out.push_back(std::move(*row));
+  return out;
+}
+
+}  // namespace
+
 CampaignResult RunCampaign(const DftCircuit& circuit,
                            const std::vector<faults::Fault>& fault_list,
                            const std::vector<ConfigVector>& configs,
@@ -374,11 +429,19 @@ CampaignResult RunCampaign(const DftCircuit& circuit,
 
   DftCircuit work = circuit.Clone();
   const CampaignFrame frame = BuildCampaignFrame(work, fault_list, options);
+  const std::size_t threads = util::ResolveThreadCount(options.threads);
   std::vector<ConfigResult> per_config;
-  per_config.reserve(configs.size());
-  for (const ConfigVector& cv : configs) {
-    per_config.push_back(RunCampaignUnit(work, frame, cv, fault_list, 0,
-                                         fault_list.size(), options));
+  if (configs.size() >= threads) {
+    per_config = RunUnitsPerWorker(work, frame, fault_list, configs, options,
+                                   threads);
+  } else {
+    // Fewer units than threads: units run one after another and each
+    // parallelizes inside (envelope samples, frequency blocks, faults).
+    per_config.reserve(configs.size());
+    for (const ConfigVector& cv : configs) {
+      per_config.push_back(RunCampaignUnit(work, frame, cv, fault_list, 0,
+                                           fault_list.size(), options));
+    }
   }
   return CampaignResult(fault_list, std::move(per_config), frame.band);
 }

@@ -68,17 +68,20 @@ struct CampaignOptions {
 
   spice::MnaOptions mna;
 
-  /// Worker threads for the (configuration, fault) sweeps and the
-  /// Monte-Carlo envelope samples.  0 = MCDFT_THREADS env var, else the
-  /// hardware thread count; 1 = serial.  Results are bit-identical for any
-  /// value (static partitioning + ordered reductions).
+  /// Worker threads.  0 = MCDFT_THREADS env var, else the hardware thread
+  /// count; 1 = serial.  RunCampaign hands whole configuration units to the
+  /// workers when there are at least as many configurations as threads;
+  /// with fewer, units run in turn and parallelize inside (Monte-Carlo
+  /// envelope samples, frequency blocks, transient faults).  Results are
+  /// bit-identical for any value (every cell is a pure function of its
+  /// unit; static partitioning + ordered reductions inside a unit).
   std::size_t threads = 0;
 
   /// Cooperative cancellation (non-owning; nullptr = never cancelled).
   /// RunCampaignUnit polls the token at the start of every unit (one
   /// configuration of RunCampaign, one shard unit of RunCampaignShard) and
   /// aborts with util::CancelError when it fires — so a cancelled or
-  /// deadline-expired request stops computing within one unit.
+  /// deadline-expired request stops computing within one unit per worker.
   /// Deliberately excluded from CampaignContentHash: cancellation
   /// truncates work, it never changes a completed campaign's bytes.
   const util::CancelToken* cancel = nullptr;
@@ -174,7 +177,10 @@ CampaignOptions MakePaperCampaignOptions();
 /// argument is untouched.  One AC sweep is run per (configuration, fault)
 /// pair plus one nominal sweep per configuration.  This is the 1-shard,
 /// no-checkpoint loop over RunCampaignUnit: one unit per configuration,
-/// spanning every fault.
+/// spanning every fault — whole units per worker when there are at least
+/// as many configurations as threads (see CampaignOptions::threads).  A
+/// failing unit stops the claiming of further units, and the
+/// lowest-index failure is rethrown, as the serial loop would.
 CampaignResult RunCampaign(const DftCircuit& circuit,
                            const std::vector<faults::Fault>& fault_list,
                            const std::vector<ConfigVector>& configs,

@@ -328,18 +328,6 @@ ShardUnitResult MakeEmptyUnit(const ShardUnit& unit, const ShardManifest& m) {
                    {}}};
 }
 
-std::string UnitRecordLine(const ShardUnitResult& u) {
-  json::Value o = json::Value::Object();
-  o.Set("config", json::Value::Number(
-                      static_cast<std::uint64_t>(u.unit.config)));
-  o.Set("fault_begin", json::Value::Number(
-                           static_cast<std::uint64_t>(u.unit.fault_begin)));
-  o.Set("fault_end", json::Value::Number(
-                         static_cast<std::uint64_t>(u.unit.fault_end)));
-  o.Set("payload", UnitPayloadToJson(u));
-  return SealCrcRecord(o);
-}
-
 ShardUnitResult UnitFromRecordLine(const std::string& line,
                                    const ShardManifest& m,
                                    const std::vector<double>& grid) {
@@ -471,14 +459,32 @@ bool ShardManifest::SameCampaign(const ShardManifest& other) const {
          transient_steps == other.transient_steps;
 }
 
-std::string ShardToText(const ShardDocument& doc) {
+std::string ShardHeaderLine(const ShardManifest& manifest) {
   json::Value head = json::Value::Object();
   head.Set("schema", json::Value::Str(kShardSchema));
-  head.Set("manifest", ManifestToJson(doc.manifest));
-  std::string text = head.Serialize(0);
+  head.Set("manifest", ManifestToJson(manifest));
+  return head.Serialize(0);
+}
+
+std::string ShardUnitLine(const ShardUnitResult& u) {
+  json::Value o = json::Value::Object();
+  o.Set("config", json::Value::Number(
+                      static_cast<std::uint64_t>(u.unit.config)));
+  o.Set("fault_begin", json::Value::Number(
+                           static_cast<std::uint64_t>(u.unit.fault_begin)));
+  o.Set("fault_end", json::Value::Number(
+                         static_cast<std::uint64_t>(u.unit.fault_end)));
+  o.Set("payload", UnitPayloadToJson(u));
+  return SealCrcRecord(o);
+}
+
+std::string ShardToText(const std::string& header,
+                        const std::vector<std::string>& unit_lines) {
+  std::string text = header;
   text += '\n';
-  for (const ShardUnitResult& u : doc.units) {
-    text += UnitRecordLine(u);
+  for (const std::string& line : unit_lines) {
+    if (line.empty()) continue;
+    text += line;
     text += '\n';
   }
   return text;
@@ -609,9 +615,9 @@ ShardDocument SalvageShardFile(const std::string& path,
   return doc;
 }
 
-void WriteShardFile(const ShardDocument& doc, const std::string& path) {
+void WriteShardText(const std::string& text, const std::string& path) {
   try {
-    json::WriteTextFileAtomic(ShardToText(doc), path);
+    json::WriteTextFileAtomic(text, path);
   } catch (const util::Error& e) {
     throw CheckpointError("cannot write shard file '" + path +
                           "': " + e.what());

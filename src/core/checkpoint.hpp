@@ -104,9 +104,19 @@ std::string SealCrcRecord(const util::json::Value& record);
 /// does not match the covered bytes.
 util::json::Value OpenCrcRecord(const std::string& line);
 
-/// Serialize the document to its on-disk JSONL text: a compact header
-/// line, then one compact CRC-carrying record line per unit.
-std::string ShardToText(const ShardDocument& doc);
+/// The compact header line of a shard file (without its newline).
+std::string ShardHeaderLine(const ShardManifest& manifest);
+
+/// One unit's compact CRC-carrying record line (without its newline).  A
+/// completed unit's line never changes, so a shard run seals it once and
+/// rewrites the file from the header plus the sealed lines.
+std::string ShardUnitLine(const ShardUnitResult& unit);
+
+/// A shard file's on-disk JSONL text: the header line, then the unit
+/// record lines in order, each ending in '\n'.  Empty entries (units not
+/// run yet) are skipped.
+std::string ShardToText(const std::string& header,
+                        const std::vector<std::string>& unit_lines);
 
 /// What SalvageShardFile recovered and what it had to drop.
 struct ShardSalvage {
@@ -140,7 +150,9 @@ ShardDocument LoadShardFile(const std::string& path);
 ShardDocument SalvageShardFile(const std::string& path,
                                ShardSalvage& salvage);
 
-/// Write the document to `path` atomically (tmp + fsync + rename).
-void WriteShardFile(const ShardDocument& doc, const std::string& path);
+/// Write shard text (ShardToText) to `path` atomically (tmp + fsync +
+/// rename, under the `checkpoint.write.*` faultpoints).  Throws
+/// CheckpointError naming the path on failure.
+void WriteShardText(const std::string& text, const std::string& path);
 
 }  // namespace mcdft::core

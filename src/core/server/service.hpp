@@ -22,7 +22,7 @@
 // request's deadline_ms and registered under its request id so the
 // `cancel` verb can fire it from another connection.  The token rides the
 // job into RunCampaign, which polls it at unit boundaries; an expired or
-// cancelled request stops computing within one unit and reports a typed
+// cancelled request stops within one unit per worker and reports a typed
 // outcome (error_kind "deadline_exceeded" / "cancelled", exit code 4).
 // Cancelled runs never reach the result cache, and followers whose
 // single-flight leader was cancelled retry from the cache-lookup step

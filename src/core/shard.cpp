@@ -254,6 +254,9 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
   // damage, so the salvaging loader keeps the intact units and this run
   // simply recomputes the dropped ones.
   std::vector<std::optional<ShardUnitResult>> slots(units.size());
+  // Each completed unit's record line, sealed once (empty = not yet run):
+  // every checkpoint write is the header plus these lines.
+  std::vector<std::string> lines(units.size());
   if (std::filesystem::exists(path)) {
     util::trace::Span load_span("checkpoint.load");
     metrics::GetCounter("core.checkpoint.loads").Add();
@@ -280,6 +283,7 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
                               std::to_string(u.unit.config) +
                               ") that shard " + spec.Name() + " does not own");
       }
+      lines[*slot] = ShardUnitLine(u);
       slots[*slot] = std::move(u);
       ++result.units_resumed;
     }
@@ -287,19 +291,15 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
         .Add(result.units_resumed);
   }
 
-  ShardDocument doc{manifest, {}};
+  const std::string header = ShardHeaderLine(manifest);
   const auto write_checkpoint = [&] {
     util::trace::Span write_span("checkpoint.write");
-    doc.units.clear();
-    for (const auto& slot : slots) {
-      if (slot) doc.units.push_back(*slot);
-    }
     // A failed write is tolerated: the atomic protocol leaves the previous
     // checkpoint (and no tmp litter) behind, so the only cost is that a
     // later resume recomputes more units.  Simulation results never abort
     // over checkpoint I/O.
     try {
-      WriteShardFile(doc, path);
+      WriteShardText(ShardToText(header, lines), path);
       metrics::GetCounter("core.checkpoint.writes").Add();
     } catch (const util::Error& e) {
       ++result.checkpoint_write_failures;
@@ -321,6 +321,7 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
     slots[k] = ShardUnitResult{
         unit, RunCampaignUnit(work, frame, configs[unit.config], fault_list,
                               unit.fault_begin, unit.fault_end, options)};
+    lines[k] = ShardUnitLine(*slots[k]);
     ++result.units_run;
     metrics::GetCounter("core.shard.units_run").Add();
     write_checkpoint();

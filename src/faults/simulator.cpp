@@ -187,8 +187,11 @@ class FreqMajorBlock {
       targets_.push_back(
           Target{sys_.ElementIndexOf(device), &local_.GetElement(device)});
     }
-    sys_.Assemble(spice::AnalysisKind::kAc, omega0, a_, rhs_);
+    // The block's one Stamp pass: record the nominal stamp program at the
+    // anchor point; every other point replays it (SolveNominal).
+    program_.Record(sys_, omega0, a_, rhs_);
     pattern_.emplace(a_);
+    program_.Bind(*pattern_);
     if (!ladder_) {
       ref_lu_.emplace(pattern_->Matrix());
       return;
@@ -210,10 +213,7 @@ class FreqMajorBlock {
   /// Without the ladder, failures propagate as exceptions (fail-fast).
   std::optional<linalg::Complex> SolveNominal(std::size_t t, double omega,
                                               const spice::Probe& probe) {
-    if (t != 0) {
-      sys_.Assemble(spice::AnalysisKind::kAc, omega, a_, rhs_);
-      pattern_->Update(a_);
-    }
+    if (t != 0) program_.Evaluate(omega, *pattern_, rhs_);
     point_lu_.reset();
     smw_bound_ = false;
     dense_nominal_ = false;
@@ -271,9 +271,12 @@ class FreqMajorBlock {
     RetryCounter().Add();
 
     // Stage 3: dense fallback.  SMW cannot bind a dense factorization, so
-    // every fault at this point takes the exact ladder directly.
+    // every fault at this point takes the exact ladder directly.  The dense
+    // matrix sums duplicates in stamp order: the program's CSR values do,
+    // while the anchor's were compressed from its triplets (sorted order).
     try {
-      dense_x0_ = linalg::SolveDense(a_.ToDense(), rhs_);
+      dense_x0_ = linalg::SolveDense(
+          t == 0 ? a_.ToDense() : pattern_->Matrix().ToDense(), rhs_);
       const linalg::Complex v = ProbeValue(probe, dense_x0_);
       if (Finite(v)) {
         dense_nominal_ = true;
@@ -625,6 +628,7 @@ class FreqMajorBlock {
   spice::Netlist local_;
   spice::MnaSystem sys_;
   std::vector<Target> targets_;
+  spice::AcStampProgram program_;  // nominal stamps, recorded at omega0
   linalg::TripletMatrix a_;
   linalg::Vector rhs_;
   std::optional<linalg::CsrAssembly> pattern_;

@@ -121,6 +121,13 @@ class CsrAssembly {
   /// The compressed matrix with the most recently updated values.
   const CsrMatrix& Matrix() const { return csr_; }
 
+  /// Value slot of each entry of the cached triplet sequence.
+  const std::vector<std::size_t>& EntrySlots() const { return slot_; }
+
+  /// The compressed matrix's values, for compiled assembly that writes them
+  /// in place (spice::AcStampProgram) instead of going through Update().
+  std::vector<Complex>& MutableValues() { return csr_.values_; }
+
  private:
   CsrMatrix csr_;
   std::vector<std::size_t> slot_;        // triplet entry index -> value index

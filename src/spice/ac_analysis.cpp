@@ -70,9 +70,10 @@ std::vector<FrequencyResponse> AcAnalyzer::RunMulti(
     out[p].values.reserve(sweep.PointCount());
     out[p].label = probes[p].label;
   }
-  // Each sweep chooses its pivot ordering afresh at its first point, so a
-  // sweep's numbers never depend on what this analyzer solved before it.
-  cache_.ResetOrdering();
+  // Each sweep records its stamps and chooses its pivot ordering afresh at
+  // its first point, so a sweep's numbers never depend on what this
+  // analyzer solved before it.
+  cache_.BeginSweep();
   for (double f : sweep.Frequencies()) {
     MnaSolution sol = cache_.SolveAcHz(system_, f);
     for (std::size_t p = 0; p < probes.size(); ++p) {

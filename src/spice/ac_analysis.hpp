@@ -51,11 +51,13 @@ struct Probe {
 ///
 /// The analyzer keeps an MnaSolveCache: the MNA sparsity pattern is
 /// invariant across frequencies (and across value-only fault injection on
-/// the underlying netlist), so after the sweep's first full factorization
-/// every remaining point is a numeric-only refactorization.  The cached
-/// pivot ordering is dropped at each sweep boundary, which makes a sweep's
-/// results depend only on (netlist values, sweep) — reusing one analyzer
-/// across many faults yields bit-identical results to fresh analyzers.
+/// the underlying netlist), so each sweep stamps the netlist once into a
+/// compiled AcStampProgram, and after the sweep's first full factorization
+/// every remaining point is a program replay plus a numeric-only
+/// refactorization.  The program and the cached pivot ordering are dropped
+/// at each sweep boundary, which makes a sweep's results depend only on
+/// (netlist values, sweep) — reusing one analyzer across many faults or
+/// Monte-Carlo samples yields bit-identical results to fresh analyzers.
 class AcAnalyzer {
  public:
   explicit AcAnalyzer(const Netlist& netlist, MnaOptions options = {});

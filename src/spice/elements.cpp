@@ -23,6 +23,31 @@ std::string_view ElementKindName(ElementKind kind) {
   return "unknown";
 }
 
+void StampContext::AddAdmittanceS(NodeId a, NodeId b, double c) {
+  AddAdmittance(a, b, S() * c);
+}
+
+void StampContext::AddBranchBranchS(std::size_t row, std::size_t col,
+                                    double c) {
+  AddBranchBranch(row, col, S() * c);
+}
+
+void StampContext::AddBranchNodeGain(std::size_t branch, NodeId col,
+                                     const OpampModel& model, GainTerm term) {
+  const Complex a = model.Gain(
+      Kind() == AnalysisKind::kTransient ? Complex(0.0, 0.0) : S());
+  AddBranchNode(branch, col, GainTermValue(term, a));
+}
+
+Complex GainTermValue(GainTerm term, Complex a) {
+  switch (term) {
+    case GainTerm::kGain: return a;
+    case GainTerm::kNegGain: return -a;
+    case GainTerm::kOnePlusGain: return Complex(1.0, 0.0) + a;
+  }
+  return a;
+}
+
 Element::Element(std::string name, std::vector<NodeId> nodes)
     : name_(util::ToUpper(name)), nodes_(std::move(nodes)) {}
 
@@ -79,7 +104,7 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
 void Capacitor::Stamp(StampContext& ctx) const {
   // Open at DC (s = 0 gives a zero stamp; skip for sparsity).
   if (ctx.Kind() == AnalysisKind::kDc) return;
-  ctx.AddAdmittance(Nodes()[0], Nodes()[1], ctx.S() * farads_);
+  ctx.AddAdmittanceS(Nodes()[0], Nodes()[1], farads_);
 }
 
 std::unique_ptr<Element> Capacitor::Clone() const {
@@ -110,7 +135,7 @@ void Inductor::Stamp(StampContext& ctx) const {
   ctx.AddNodeBranch(b, 0, Complex(-1.0, 0.0));
   ctx.AddBranchNode(0, a, Complex(1.0, 0.0));
   ctx.AddBranchNode(0, b, Complex(-1.0, 0.0));
-  ctx.AddBranchBranch(0, 0, -ctx.S() * henries_);
+  ctx.AddBranchBranchS(0, 0, -henries_);
 }
 
 std::unique_ptr<Element> Inductor::Clone() const {
@@ -375,23 +400,19 @@ void Opamp::Stamp(StampContext& ctx) const {
     return;
   }
 
-  // Transient assembly uses the memoryless DC open-loop gain: the opamp's
-  // pole carries no companion state (only C and L do), so evaluating the
-  // gain at the real stiffness 2/h would silently mismodel it.  A(0) keeps
-  // the amplifier behaviour exact for kIdeal/kFiniteGain and a documented
-  // quasi-static approximation for kSinglePole.
-  const Complex a = model_.Gain(
-      ctx.Kind() == AnalysisKind::kTransient ? Complex(0.0, 0.0) : ctx.S());
+  // Transient assembly uses the memoryless DC open-loop gain (see
+  // StampContext::AddBranchNodeGain): exact for kIdeal/kFiniteGain and a
+  // documented quasi-static approximation for kSinglePole.
   if (mode_ == OpampMode::kNormal) {
     // V_out - A(s) (V+ - V-) = 0.
     ctx.AddBranchNode(0, out, Complex(1.0, 0.0));
-    ctx.AddBranchNode(0, p, -a);
-    ctx.AddBranchNode(0, n, a);
+    ctx.AddBranchNodeGain(0, p, model_, GainTerm::kNegGain);
+    ctx.AddBranchNodeGain(0, n, model_, GainTerm::kGain);
   } else {
     // Follower emulation: the amplifier is rewired as a unity buffer of the
     // In_test node: V_out - A(s) (V_test - V_out) = 0  =>  V_out ~= V_test.
-    ctx.AddBranchNode(0, out, Complex(1.0, 0.0) + a);
-    ctx.AddBranchNode(0, t, -a);
+    ctx.AddBranchNodeGain(0, out, model_, GainTerm::kOnePlusGain);
+    ctx.AddBranchNodeGain(0, t, model_, GainTerm::kNegGain);
   }
 }
 

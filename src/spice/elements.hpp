@@ -48,11 +48,27 @@ enum class ElementKind {
 /// Short human-readable name of an element kind ("resistor", "opamp", ...).
 std::string_view ElementKindName(ElementKind kind);
 
+struct OpampModel;  // below
+
+/// How an opamp stamp entry uses the open-loop gain a = A(s).
+enum class GainTerm {
+  kGain,         ///< a
+  kNegGain,      ///< -a
+  kOnePlusGain,  ///< 1 + a
+};
+
 /// Interface through which elements write their MNA contributions.
 ///
 /// Rows/columns are addressed by circuit NodeId (ground contributions are
 /// dropped automatically) and by element-local branch index (0-based,
 /// < BranchCount() of the element currently being stamped).
+///
+/// Values that depend on the complex frequency go through the `...S` and
+/// `...Gain` entry points rather than a precomputed Complex, so that a
+/// compiled AC sweep (spice/mna.hpp AcStampProgram) can record how each
+/// entry varies with s and re-evaluate only that part per point.  Their
+/// default implementations compute the value and forward it to the plain
+/// entry points.
 class StampContext {
  public:
   virtual ~StampContext() = default;
@@ -95,7 +111,23 @@ class StampContext {
 
   /// rhs(branch_row) += v.
   virtual void AddBranchRhs(std::size_t branch, Complex v) = 0;
+
+  /// Admittance S() * c between nodes a and b (capacitor).
+  virtual void AddAdmittanceS(NodeId a, NodeId b, double c);
+
+  /// A(branch_row, branch_col) += S() * c (inductor branch impedance).
+  virtual void AddBranchBranchS(std::size_t row, std::size_t col, double c);
+
+  /// A(branch_row, node_col) += term(a), where a is `model`'s open-loop gain
+  /// for this assembly: A(S()), or the memoryless A(0) in transient
+  /// assembly (the opamp's pole carries no companion state, so evaluating
+  /// the gain at the real stiffness 2/h would silently mismodel it).
+  virtual void AddBranchNodeGain(std::size_t branch, NodeId col,
+                                 const OpampModel& model, GainTerm term);
 };
+
+/// The value of gain term `term` for gain `a`.
+Complex GainTermValue(GainTerm term, Complex a);
 
 /// Abstract circuit element.
 class Element {

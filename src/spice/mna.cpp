@@ -4,6 +4,7 @@
 #include "util/metrics.hpp"
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -281,6 +282,15 @@ Complex ComplexFrequency(AnalysisKind kind, double omega) {
   return Complex(0.0, 0.0);
 }
 
+/// Stamp every element of `netlist` into `ctx`, in element order.
+template <typename Context>
+void StampElements(const Netlist& netlist, Context& ctx) {
+  for (std::size_t i = 0; i < netlist.ElementCount(); ++i) {
+    ctx.SetCurrentElement(i);
+    netlist.Elements()[i]->Stamp(ctx);
+  }
+}
+
 }  // namespace
 
 void MnaSystem::Assemble(AnalysisKind kind, double omega,
@@ -290,10 +300,7 @@ void MnaSystem::Assemble(AnalysisKind kind, double omega,
   rhs.Resize(unknown_count_);
   rhs.SetZero();
   MnaStampContext ctx(*this, netlist_, kind, s, a, rhs);
-  for (std::size_t i = 0; i < netlist_.ElementCount(); ++i) {
-    ctx.SetCurrentElement(i);
-    netlist_.Elements()[i]->Stamp(ctx);
-  }
+  StampElements(netlist_, ctx);
 }
 
 void MnaSystem::StampElement(
@@ -346,15 +353,192 @@ std::size_t MnaSystem::ElementIndexOf(const std::string& name) const {
   throw util::AnalysisError("element '" + name + "' not found in MNA system");
 }
 
-MnaSolution MnaSolveCache::Solve(const MnaSystem& sys, AnalysisKind kind,
-                                 double omega) {
+/// Records an AC assembly for AcStampProgram: forwards every call to the
+/// plain MNA context (so the triplets and RHS are exactly Assemble's) and
+/// tags each triplet the call appended with how its value depends on s.
+class AcStampProgram::Recorder final : public StampContext {
+ public:
+  Recorder(const MnaSystem& sys, Complex s, linalg::TripletMatrix& a,
+           linalg::Vector& rhs, AcStampProgram& program)
+      : sys_(sys),
+        inner_(sys, sys.Circuit(), AnalysisKind::kAc, s, a, rhs),
+        s_(s),
+        a_(a),
+        program_(program) {}
+
+  void SetCurrentElement(std::size_t element_idx) {
+    inner_.SetCurrentElement(element_idx);
+    current_ = element_idx;
+  }
+
+  AnalysisKind Kind() const override { return AnalysisKind::kAc; }
+
+  Complex S() const override {
+    throw util::AnalysisError(
+        "element '" + sys_.Circuit().Elements()[current_]->Name() +
+        "' reads s directly; compiled AC stamps need AddAdmittanceS, "
+        "AddBranchBranchS or AddBranchNodeGain");
+  }
+
+  void AddAdmittance(NodeId a, NodeId b, Complex y) override {
+    inner_.AddAdmittance(a, b, y);
+    Tag(Term{});
+  }
+  void AddNodeNode(NodeId row, NodeId col, Complex v) override {
+    inner_.AddNodeNode(row, col, v);
+    Tag(Term{});
+  }
+  void AddNodeBranch(NodeId row, std::size_t branch, Complex v) override {
+    inner_.AddNodeBranch(row, branch, v);
+    Tag(Term{});
+  }
+  void AddBranchNode(std::size_t branch, NodeId col, Complex v) override {
+    inner_.AddBranchNode(branch, col, v);
+    Tag(Term{});
+  }
+  void AddBranchBranch(std::size_t row, std::size_t col, Complex v) override {
+    inner_.AddBranchBranch(row, col, v);
+    Tag(Term{});
+  }
+  void AddBranchForeignBranchByName(std::size_t row, const std::string& other,
+                                    std::size_t k, Complex v) override {
+    inner_.AddBranchForeignBranchByName(row, other, k, v);
+    Tag(Term{});
+  }
+  void AddNodeForeignBranchByName(NodeId row, const std::string& other,
+                                  std::size_t k, Complex v) override {
+    inner_.AddNodeForeignBranchByName(row, other, k, v);
+    Tag(Term{});
+  }
+  // The RHS takes only constants; Record() keeps the assembled vector.
+  void AddNodeRhs(NodeId row, Complex v) override { inner_.AddNodeRhs(row, v); }
+  void AddBranchRhs(std::size_t branch, Complex v) override {
+    inner_.AddBranchRhs(branch, v);
+  }
+
+  // The s-aware entry points: the values and entry sequence of the
+  // StampContext defaults, tagged with their s-dependence.
+  void AddAdmittanceS(NodeId a, NodeId b, double c) override {
+    const Complex y = s_ * c;
+    inner_.AddNodeNode(a, a, y);
+    inner_.AddNodeNode(b, b, y);
+    Tag(Term{TermKind::kS, GainTerm::kGain, 0, 0, c});
+    inner_.AddNodeNode(a, b, -y);
+    inner_.AddNodeNode(b, a, -y);
+    Tag(Term{TermKind::kNegS, GainTerm::kGain, 0, 0, c});
+  }
+
+  void AddBranchBranchS(std::size_t row, std::size_t col, double c) override {
+    inner_.AddBranchBranch(row, col, s_ * c);
+    Tag(Term{TermKind::kS, GainTerm::kGain, 0, 0, c});
+  }
+
+  void AddBranchNodeGain(std::size_t branch, NodeId col,
+                         const OpampModel& model, GainTerm term) override {
+    inner_.AddBranchNode(branch, col, GainTermValue(term, model.Gain(s_)));
+    // Ideal and finite-gain models have an s-independent gain.
+    if (model.kind != OpampModelKind::kSinglePole) {
+      Tag(Term{});
+      return;
+    }
+    // One gain register per opamp: its terms share one evaluation.
+    if (gain_owner_ != current_) {
+      program_.gains_.push_back(model);
+      gain_owner_ = current_;
+    }
+    Tag(Term{TermKind::kGain, term,
+             static_cast<std::uint32_t>(program_.gains_.size() - 1), 0, 0.0});
+  }
+
+ private:
+  /// Tag every triplet appended since the last tag with `term`.
+  void Tag(Term term) {
+    std::vector<Term>& recorded = program_.recorded_;
+    while (recorded.size() < a_.EntryCount()) {
+      term.value = a_.Entries()[recorded.size()].value;
+      recorded.push_back(term);
+    }
+  }
+
+  const MnaSystem& sys_;
+  MnaStampContext inner_;
+  Complex s_;
+  const linalg::TripletMatrix& a_;
+  AcStampProgram& program_;
+  std::size_t current_ = 0;
+  std::size_t gain_owner_ = static_cast<std::size_t>(-1);
+};
+
+void AcStampProgram::Record(const MnaSystem& sys, double omega,
+                            linalg::TripletMatrix& a, linalg::Vector& rhs) {
+  const std::size_t n = sys.UnknownCount();
+  a.Reset(n, n);
+  rhs.Resize(n);
+  rhs.SetZero();
+  recorded_.clear();
+  gains_.clear();
+  Recorder recorder(sys, Complex(0.0, omega), a, rhs, *this);
+  StampElements(sys.Circuit(), recorder);
+  rhs_ = rhs;
+}
+
+void AcStampProgram::Bind(const linalg::CsrAssembly& pattern) {
+  const std::vector<std::size_t>& slots = pattern.EntrySlots();
+  if (slots.size() != recorded_.size()) {
+    throw util::AnalysisError(
+        "stamp program bound to a pattern of a different stamp sequence");
+  }
+  // A slot's constants up to its first s-dependent term sum here once, in
+  // stamp order; everything after stays in the per-point tail.
+  base_.assign(pattern.Matrix().NonZeroCount(), Complex(0.0, 0.0));
+  std::vector<bool> leading(base_.size(), true);
+  tail_.clear();
+  for (std::size_t i = 0; i < recorded_.size(); ++i) {
+    const std::size_t slot = slots[i];
+    if (recorded_[i].kind == TermKind::kConstant && leading[slot]) {
+      base_[slot] += recorded_[i].value;
+      continue;
+    }
+    leading[slot] = false;
+    tail_.push_back(recorded_[i]);
+    tail_.back().slot = slot;
+  }
+  gain_values_.resize(gains_.size());
+}
+
+void AcStampProgram::Evaluate(double omega, linalg::CsrAssembly& pattern,
+                              linalg::Vector& rhs) {
+  const Complex s(0.0, omega);
+  for (std::size_t k = 0; k < gains_.size(); ++k) {
+    gain_values_[k] = gains_[k].Gain(s);
+  }
+  std::vector<Complex>& values = pattern.MutableValues();
+  if (values.size() != base_.size()) {
+    throw util::AnalysisError("stamp program evaluated into an unbound pattern");
+  }
+  std::copy(base_.begin(), base_.end(), values.begin());
+  for (const Term& t : tail_) {
+    Complex& v = values[t.slot];
+    switch (t.kind) {
+      case TermKind::kConstant: v += t.value; break;
+      case TermKind::kS: v += s * t.c; break;
+      case TermKind::kNegS: v += -(s * t.c); break;
+      case TermKind::kGain:
+        v += GainTermValue(t.gain, gain_values_[t.reg]);
+        break;
+    }
+  }
+  rhs.data() = rhs_.data();
+}
+
+MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
   static metrics::Counter& solve_count = metrics::GetCounter("spice.mna.solve");
   static metrics::Counter& dense_count =
       metrics::GetCounter("spice.mna.dense_solve");
   static metrics::Counter& uncached_count =
       metrics::GetCounter("spice.mna.uncached_sparse_solve");
-  static metrics::Counter& pattern_hit =
-      metrics::GetCounter("spice.mna.pattern_hit");
+  static metrics::Counter& program_records =
+      metrics::GetCounter("spice.mna.program_records");
   static metrics::Counter& pattern_rebuild =
       metrics::GetCounter("spice.mna.pattern_rebuild");
   static metrics::Counter& refactor_hit =
@@ -363,29 +547,40 @@ MnaSolution MnaSolveCache::Solve(const MnaSystem& sys, AnalysisKind kind,
       metrics::GetCounter("spice.mna.full_factor");
 
   solve_count.Add();
-  sys.Assemble(kind, omega, a_, rhs_);
+  const double omega = 2.0 * std::numbers::pi * hz;
   const MnaOptions& options = sys.Options();
 
   if (options.backend == SolverBackend::kDense ||
       (options.backend == SolverBackend::kAuto && !options.cache_factorization &&
        sys.UnknownCount() <= options.dense_threshold)) {
     dense_count.Add();
+    sys.Assemble(AnalysisKind::kAc, omega, a_, rhs_);
     return sys.WrapSolution(linalg::SolveDense(a_.ToDense(), rhs_));
   }
   if (!options.cache_factorization) {
     uncached_count.Add();
+    sys.Assemble(AnalysisKind::kAc, omega, a_, rhs_);
     return sys.WrapSolution(linalg::SolveSparse(linalg::CsrMatrix(a_), rhs_));
   }
 
-  // Cached sparse path: O(nnz) value refresh into the stored pattern, then
-  // numeric-only refactorization under the stored pivot ordering.
-  if (pattern_ && pattern_->Matches(a_)) {
-    pattern_hit.Add();
-    pattern_->Update(a_);
+  // Cached sparse path.  The sweep's first point records the stamp program
+  // and checks the pattern once; every later point is the program's flat
+  // value refresh, then a numeric-only refactorization under the stored
+  // pivot ordering.
+  if (!recorded_) {
+    program_records.Add();
+    program_.Record(sys, omega, a_, rhs_);
+    const bool reuse = pattern_ && pattern_->Matches(a_);
+    if (!reuse) {
+      pattern_rebuild.Add();
+      pattern_.emplace(a_);  // structure changed (or first solve)
+      lu_.reset();
+    }
+    program_.Bind(*pattern_);
+    if (reuse) program_.Evaluate(omega, *pattern_, rhs_);
+    recorded_ = true;
   } else {
-    pattern_rebuild.Add();
-    pattern_.emplace(a_);  // structure changed (or first solve)
-    lu_.reset();
+    program_.Evaluate(omega, *pattern_, rhs_);
   }
   const linalg::CsrMatrix& m = pattern_->Matrix();
   if (lu_ && lu_->Refactor(m)) {
@@ -411,10 +606,6 @@ MnaSolution MnaSolveCache::Solve(const MnaSystem& sys, AnalysisKind kind,
     ++full_factor_count_;
   }
   return sys.WrapSolution(lu_->Solve(rhs_));
-}
-
-MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
-  return Solve(sys, AnalysisKind::kAc, 2.0 * std::numbers::pi * hz);
 }
 
 std::size_t MnaSystem::BranchUnknown(std::size_t element_idx,

@@ -6,6 +6,7 @@
 // LU backend below a size threshold and the sparse Markowitz LU above it.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -216,37 +217,108 @@ class MnaSystem {
   std::vector<std::size_t> branch_base_;  // per element: first branch unknown
 };
 
-/// Reusable solve state for repeated MNA solves with an invariant sparsity
-/// pattern — the workhorse of AC sweeps and parametric fault campaigns.
+/// A netlist's AC stamps, recorded once per sweep and replayed per point.
 ///
-/// Holds the assembly scratch (triplets + RHS), the cached CSR pattern of
-/// the stamp sequence, and the sparse-LU factor whose pivot ordering is
-/// reused for numeric-only refactorization at each subsequent point.  The
-/// cache owns all of its state (no references into any MnaSystem), so one
-/// cache may serve many systems; the pattern check simply rebuilds when the
-/// stamp sequence changes.
+/// Record() calls every element's Stamp once, at the sweep's first angular
+/// frequency, and writes the same triplets and RHS as MnaSystem::Assemble
+/// (it is the program's front end).  Per triplet it keeps how the value
+/// depends on s: a constant, an s·c term (C, L), or a term of a per-point
+/// element value that is not affine in s (the single-pole opamp gain,
+/// evaluated once per opamp per point).  Bind() folds those onto a CSR
+/// pattern's value slots; Evaluate() then writes the CSR values and the RHS
+/// at any frequency in one flat loop: no virtual Stamp call, no triplet
+/// vector, no pattern compare.
 ///
-/// Determinism: results for a given (netlist values, kind, omega) depend on
-/// the ordering chosen at the first full factorization after
-/// ResetOrdering().  Callers that must produce identical results regardless
-/// of how work is batched (e.g. a fault campaign split across threads) call
-/// ResetOrdering() at each sweep boundary so the ordering is always derived
-/// from the sweep's own first point.
+/// Bit contract: each contribution is computed by the expression the
+/// element's Stamp uses and summed into its slot in stamp order, starting
+/// from Complex(0, 0) (a slot's leading constants are pre-summed in that
+/// same order), so every CSR value and RHS entry equals Assemble followed
+/// by linalg::CsrAssembly::Update at that frequency, bit for bit.
+///
+/// Lifetime: the program serves only the element values it captured at
+/// Record().  Values change between sweeps (Monte-Carlo samples, fault
+/// injection), so callers re-record at every sweep start.
+class AcStampProgram {
+ public:
+  /// Stamp `sys` at AC angular frequency `omega` into `a` and `rhs` (as
+  /// MnaSystem::Assemble(kAc, omega, a, rhs) does) and record the program.
+  /// Throws AnalysisError when an element reads StampContext::S() directly
+  /// instead of going through the s-aware entry points: such a value could
+  /// not be replayed at another frequency.
+  void Record(const MnaSystem& sys, double omega, linalg::TripletMatrix& a,
+              linalg::Vector& rhs);
+
+  /// Map the recorded contributions onto `pattern`'s value slots.
+  /// `pattern` must describe the recorded triplet sequence (built from it,
+  /// or CsrAssembly::Matches it).
+  void Bind(const linalg::CsrAssembly& pattern);
+
+  /// Write the system at AC angular frequency `omega` into the bound
+  /// pattern's CSR values and into `rhs`.
+  void Evaluate(double omega, linalg::CsrAssembly& pattern,
+                linalg::Vector& rhs);
+
+ private:
+  class Recorder;
+
+  /// How one contribution's value depends on s.
+  enum class TermKind : unsigned char {
+    kConstant,  ///< value
+    kS,         ///< s * c
+    kNegS,      ///< -(s * c)
+    kGain,      ///< GainTermValue(gain, gains_[reg] evaluated at s)
+  };
+
+  struct Term {
+    TermKind kind = TermKind::kConstant;
+    GainTerm gain = GainTerm::kGain;
+    std::uint32_t reg = 0;
+    std::size_t slot = 0;  // CSR value index (after Bind)
+    double c = 0.0;
+    Complex value{0.0, 0.0};
+  };
+
+  std::vector<Term> recorded_;      // one per triplet, stamp order
+  std::vector<OpampModel> gains_;   // per-point gain registers
+  std::vector<Complex> gain_values_;
+  linalg::Vector rhs_;              // AC RHS entries are constants
+  std::vector<Complex> base_;       // per slot: its leading constants
+  std::vector<Term> tail_;          // the rest, stamp order, slot set
+};
+
+/// Reusable solve state for AC sweeps with an invariant sparsity pattern —
+/// the workhorse of envelope samples and fault-major campaigns.
+///
+/// Holds the cached CSR pattern of the stamp sequence, the sweep's compiled
+/// stamp program, and the sparse-LU factor whose pivot ordering is reused
+/// for numeric-only refactorization at each subsequent point.  The cache
+/// owns all of its state (no references into any MnaSystem), so one cache
+/// may serve many systems; the once-per-sweep pattern check rebuilds the
+/// pattern when the stamp sequence changes.
+///
+/// Determinism: results for a given (netlist values, omega) depend on the
+/// ordering chosen at the first full factorization after BeginSweep().
+/// Callers call BeginSweep() at each sweep boundary so the ordering is
+/// always derived from the sweep's own first point.
 class MnaSolveCache {
  public:
-  /// Assemble and solve `sys` at (kind, omega), reusing cached structure
-  /// when `sys.Options().cache_factorization` allows.  Falls back to a full
-  /// factorization whenever the cached pivot ordering is rejected.
-  MnaSolution Solve(const MnaSystem& sys, AnalysisKind kind, double omega);
+  /// Start a sweep: forget the pivot ordering (the sparsity pattern is
+  /// kept; it is a deterministic function of the stamp sequence and
+  /// carries no value information) and the stamp program.  The next solve
+  /// records the netlist's stamps; element values must not change until
+  /// the sweep's last point.
+  void BeginSweep() {
+    lu_.reset();
+    recorded_ = false;
+  }
 
-  /// AC solve at frequency `hz`.
+  /// Assemble and solve `sys` at AC frequency `hz`: the sweep's first point
+  /// records the stamp program, later points replay it.  With
+  /// `sys.Options().cache_factorization` the LU refactors under the cached
+  /// pivot ordering, falling back to a full factorization whenever the
+  /// ordering is rejected; backends without a reusable CSR pattern (dense,
+  /// uncached sparse) assemble generically at every point.
   MnaSolution SolveAcHz(const MnaSystem& sys, double hz);
-
-  /// Forget the cached pivot ordering (the sparsity pattern is kept; it is
-  /// a deterministic function of the stamp sequence and carries no value
-  /// information).  Call at sweep boundaries for batching-independent
-  /// results.
-  void ResetOrdering() { lu_.reset(); }
 
   /// Diagnostics: how many solves went through the numeric-only refactor
   /// fast path vs. a full factorization (exposed for tests and benches).
@@ -258,6 +330,8 @@ class MnaSolveCache {
   linalg::Vector rhs_;
   std::optional<linalg::CsrAssembly> pattern_;
   std::optional<linalg::SparseLu> lu_;
+  AcStampProgram program_;
+  bool recorded_ = false;  // program_ holds this sweep's stamps
   std::size_t refactor_count_ = 0;
   std::size_t full_factor_count_ = 0;
 };

@@ -5,8 +5,8 @@
 // (the client's end-to-end `deadline_ms` budget).  Compute loops poll the
 // token at unit boundaries — RunCampaign's per-configuration loop, the
 // shard executor's per-unit loop — and bail out by throwing CancelError,
-// so an expired or cancelled request stops within one unit of work
-// instead of running the campaign to completion for a client that is
+// so an expired or cancelled request stops within one unit of work per
+// worker instead of running the campaign to completion for a client that is
 // long gone.
 //
 // The token is thread-safe: any thread may Cancel() while pool workers

@@ -1,7 +1,8 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace mcdft::util {
@@ -39,13 +40,27 @@ double CliArgs::GetDouble(const std::string& name, double fallback) const {
   auto it = options_.find(name);
   if (it == options_.end()) return fallback;
   double v = 0.0;
-  return ParseEngineering(it->second, v) ? v : fallback;
+  if (!ParseEngineering(it->second, v)) {
+    throw Error("option --" + name + ": '" + it->second +
+                "' is not a number");
+  }
+  return v;
 }
 
 int CliArgs::GetInt(const std::string& name, int fallback) const {
   auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) return fallback;
-  return std::atoi(it->second.c_str());
+  if (it == options_.end()) return fallback;
+  const std::string& text = it->second;
+  const char* last = text.data() + text.size();
+  int v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec == std::errc::result_out_of_range) {
+    throw Error("option --" + name + ": '" + text + "' is out of range");
+  }
+  if (ec != std::errc() || end != last) {
+    throw Error("option --" + name + ": '" + text + "' is not an integer");
+  }
+  return v;
 }
 
 const char* EnvOverridesHelp() {

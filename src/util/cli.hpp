@@ -24,10 +24,13 @@ class CliArgs {
   std::string GetString(const std::string& name, const std::string& fallback) const;
 
   /// Numeric value of `--name` (engineering suffixes allowed), or `fallback`
-  /// when absent or unparsable.
+  /// when absent.  Throws util::Error naming the flag when the value does
+  /// not parse as a whole.
   double GetDouble(const std::string& name, double fallback) const;
 
-  /// Integer value of `--name`, or `fallback`.
+  /// Integer value of `--name`, or `fallback` when absent.  Throws
+  /// util::Error naming the flag when the whole value is not a decimal
+  /// integer or does not fit an int.
   int GetInt(const std::string& name, int fallback) const;
 
   /// Positional (non-option) arguments in order.

@@ -157,26 +157,36 @@ void AppendNumber(std::string& out, double v) {
     out += "null";  // JSON has no Inf/NaN; null is the least-surprising stand-in
     return;
   }
+  char buf[64];
+  const auto append = [&](std::to_chars_result r) { out.append(buf, r.ptr); };
   if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    out += buf;
+    append(std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed,
+                         0));  // printf "%.0f"
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
+  // The "%.{p}g" text (chars_format::general) at the smallest precision p
+  // that round-trips, else "%.17g".  No p below the shortest round-trip
+  // digit count can round-trip, so the search starts there; it may need
+  // one more digit where the shortest digits are not the nearest p-digit
+  // rounding (the narrower gap below a power of two).
+  const std::to_chars_result shortest = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::scientific);
+  int prec = 0;
+  for (const char* c = buf; c != shortest.ptr && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++prec;
+  }
+  for (; prec < 17; ++prec) {
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, v, std::chars_format::general, prec);
     double back = 0.0;
-    std::sscanf(shorter, "%lf", &back);
+    std::from_chars(buf, r.ptr, back);
     if (back == v) {
-      out += shorter;
+      append(r);
       return;
     }
   }
-  out += buf;
+  append(std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                       17));
 }
 
 void SerializeTo(const Value& v, std::string& out, int indent, int depth) {

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -91,11 +92,19 @@ ThreadPool& GlobalPool() {
   return pool;
 }
 
-/// Join-state of one ParallelForRange call.
-struct ForJoin {
+/// Shared state of one ParallelForRange call.  Each range runs on whoever
+/// claims it first: the pool worker that dequeues its task, or the caller
+/// once its own range is done.  The caller therefore never waits on a task
+/// that has not started — such a task may sit in the queue behind another
+/// section's long tasks (another job's whole campaign) — only on ranges a
+/// worker is already running.  A task dequeued after the caller took its
+/// range touches nothing but this state, which it co-owns.
+struct ForSection {
+  explicit ForSection(std::size_t ways) : claimed(ways, false) {}
   std::mutex m;
   std::condition_variable cv;
-  std::size_t pending = 0;
+  std::vector<bool> claimed;  ///< per range, guarded by m
+  std::size_t running = 0;    ///< ranges claimed by workers, not yet done
 };
 
 }  // namespace
@@ -152,41 +161,48 @@ void ParallelForRange(
 
   GlobalPool().EnsureWorkers(ways - 1);
   std::vector<std::exception_ptr> errors(ways);
-  ForJoin join;
-  join.pending = ways - 1;
+  const auto section = std::make_shared<ForSection>(ways);
+  section->claimed[0] = true;
 
-  const auto range_begin = [count, ways](std::size_t w) {
-    return w * count / ways;
+  const auto run_range = [&](std::size_t w) {
+    try {
+      fn(w * count / ways, (w + 1) * count / ways);
+    } catch (...) {
+      errors[w] = std::current_exception();
+    }
   };
   for (std::size_t w = 1; w < ways; ++w) {
-    GlobalPool().Submit([&, w] {
-      try {
-        fn(range_begin(w), range_begin(w + 1));
-      } catch (...) {
-        errors[w] = std::current_exception();
-      }
+    GlobalPool().Submit([section, w, &run_range] {
       {
-        // Notify while still holding the lock: the moment the waiter can
-        // observe pending == 0 it may return and destroy `join`, so the
-        // cv must not be touched after the mutex is released.
-        std::lock_guard<std::mutex> lock(join.m);
-        --join.pending;
-        join.cv.notify_one();
+        std::lock_guard<std::mutex> lock(section->m);
+        if (section->claimed[w]) return;  // the caller ran it
+        section->claimed[w] = true;
+        ++section->running;
       }
+      run_range(w);
+      std::lock_guard<std::mutex> lock(section->m);
+      --section->running;
+      section->cv.notify_one();
     });
   }
-  try {
-    fn(range_begin(0), range_begin(1));
-  } catch (...) {
-    errors[0] = std::current_exception();
+  run_range(0);
+  // Take over every range no worker has started, last first (workers
+  // dequeue from the front).
+  for (std::size_t w = ways - 1; w >= 1; --w) {
+    {
+      std::lock_guard<std::mutex> lock(section->m);
+      if (section->claimed[w]) continue;
+      section->claimed[w] = true;
+    }
+    run_range(w);
   }
   {
     // Caller-side load-imbalance signal: time spent waiting for the slowest
     // worker range after the caller finished its own.
     const std::uint64_t t0 =
         metrics::Enabled() ? trace::internal::NowWallNs() : 0;
-    std::unique_lock<std::mutex> lock(join.m);
-    join.cv.wait(lock, [&join] { return join.pending == 0; });
+    std::unique_lock<std::mutex> lock(section->m);
+    section->cv.wait(lock, [&section] { return section->running == 0; });
     if (t0 != 0) join_wait_ns.Add(trace::internal::NowWallNs() - t0);
   }
   for (auto& e : errors) {

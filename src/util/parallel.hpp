@@ -36,9 +36,11 @@ bool InsideParallelWorker();
 
 /// Run `fn(begin, end)` over a static partition of [0, count) into at most
 /// `threads` contiguous ranges (0 = auto, see ResolveThreadCount).  The
-/// calling thread executes the first range; pool workers execute the rest.
-/// Blocks until every range is done.  The first exception (by range order)
-/// is rethrown in the caller.
+/// calling thread executes the first range; pool workers execute the rest,
+/// except that the caller, once its own range is done, runs every range no
+/// worker has started yet — so a section never waits behind another
+/// section's tasks in the shared queue.  Blocks until every range is done.
+/// The first exception (by range order) is rethrown in the caller.
 void ParallelForRange(std::size_t threads, std::size_t count,
                       const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -1,8 +1,11 @@
 // Determinism regression: a campaign's detectability matrix, omega table,
 // thresholds and nominal responses must be BIT-identical for any thread
-// count (static partitioning + ordered reductions, see DESIGN.md).  Runs
-// the biquad and the 6-opamp cascade at thread counts 1, 2 and 8, plus a
-// single-configuration pass over the rest of the circuit zoo.
+// count (see DESIGN.md "Threading & determinism").  Runs the biquad and
+// the 6-opamp cascade serially and at thread counts on both sides of
+// RunCampaign's whole-units-per-worker rule (configurations > threads,
+// = threads and = threads - 1), plus a single-configuration pass over the
+// rest of the circuit zoo.  WholeUnitScheduling pins the rule itself and
+// its error order.
 //
 // Thread counts are varied through CampaignOptions::threads — the
 // MCDFT_THREADS environment variable is latched at first use and cannot be
@@ -12,6 +15,8 @@
 #include "circuits/zoo.hpp"
 #include "core/campaign.hpp"
 #include "faults/fault_list.hpp"
+#include "util/faultpoint.hpp"
+#include "util/metrics.hpp"
 
 namespace mcdft::core {
 namespace {
@@ -72,7 +77,9 @@ void CheckCircuitAcrossThreadCounts(const char* name) {
 
   const CampaignResult serial =
       RunCampaign(circuit, fault_list, configs, FastOptions(1));
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+  const std::size_t n = configs.size();
+  ASSERT_GT(n, 2u);
+  for (std::size_t threads : {std::size_t{2}, n, n + 1, std::size_t{8}}) {
     const CampaignResult parallel =
         RunCampaign(circuit, fault_list, configs, FastOptions(threads));
     ExpectBitIdentical(serial, parallel,
@@ -106,6 +113,81 @@ TEST(CampaignDeterminism, ZooSingleConfigBitIdentical) {
         RunCampaign(circuit, fault_list, configs, FastOptions(8));
     ExpectBitIdentical(serial, parallel, name);
   }
+}
+
+/// Parallel sections a campaign opens (util.parallel.sections delta).
+std::uint64_t ParallelSections(const DftCircuit& circuit,
+                               const std::vector<faults::Fault>& fault_list,
+                               const std::vector<ConfigVector>& configs,
+                               std::size_t threads) {
+  util::metrics::ScopedEnable metrics;
+  util::metrics::Counter& sections =
+      util::metrics::GetCounter("util.parallel.sections");
+  const std::uint64_t before = sections.Value();
+  RunCampaign(circuit, fault_list, configs, FastOptions(threads));
+  return sections.Value() - before;
+}
+
+TEST(WholeUnitScheduling, OneSectionWhenConfigurationsCoverTheThreads) {
+  const DftCircuit circuit =
+      DftCircuit::Transform(circuits::FindInZoo("biquad").build());
+  const auto fault_list = faults::MakeDeviationFaults(circuit.Circuit());
+  const auto configs = SmallConfigSet(circuit);
+  // At least as many configurations as threads: one section hands whole
+  // units to the workers, and every section inside a unit runs serially.
+  EXPECT_EQ(ParallelSections(circuit, fault_list, configs, 2), 1u);
+  EXPECT_EQ(ParallelSections(circuit, fault_list, configs, configs.size()),
+            1u);
+  // Fewer: units run in turn and parallelize inside (envelope samples,
+  // frequency blocks), so every unit opens sections of its own.
+  EXPECT_GT(ParallelSections(circuit, fault_list, configs, configs.size() + 1),
+            configs.size());
+}
+
+TEST(WholeUnitScheduling, RethrowsTheSerialLoopsFirstFailure) {
+  // Fail-fast (no retry ladder) on a biquad with an unrepresentable fault:
+  // a sense resistor RQ whose deviation overflows to infinity.  Every
+  // well-formed unit then fails late, in simulation, after its envelope;
+  // a configuration of the wrong width fails at once, naming its width.
+  // With the wrong-width configuration right after the first unit, it
+  // fails first in time, yet the first unit — claimed earlier, so run to
+  // its end — fails too, and its lower index wins: the error the serial
+  // loop throws.
+  auto block = circuits::FindInZoo("biquad").build();
+  block.netlist.AddResistor("RQ", block.output_node, "qx", 1e200);
+  const DftCircuit circuit = DftCircuit::Transform(block);
+  auto fault_list = faults::MakeDeviationFaults(circuit.Circuit());
+  fault_list.emplace_back("RQ", faults::FaultKind::kDeviationUp, 1e150);
+  const std::size_t width = circuit.ConfigurableOpamps().size();
+  std::vector<ConfigVector> configs = SmallConfigSet(circuit);
+  configs.insert(configs.begin() + 1, ConfigVector(width + 2));
+  configs.insert(configs.begin() + 3, ConfigVector(width + 1));
+
+  const auto error = [&](std::size_t threads) {
+    CampaignOptions options = FastOptions(threads);
+    options.mna.retry_ladder = false;
+    try {
+      RunCampaign(circuit, fault_list, configs, options);
+    } catch (const util::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string serial = error(1);
+  ASSERT_NE(serial.find("RQ"), std::string::npos) << serial;
+  for (std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{4},
+                              configs.size()}) {
+    EXPECT_EQ(error(threads), serial) << threads << " threads";
+  }
+
+  // No unit is claimed after a failure: at 2 threads the wrong-width unit
+  // fails while the first is still running, so far fewer unit boundaries
+  // (counted by the never-firing stall faultpoint) than units are passed.
+  util::faultpoint::Arm("campaign.unit.stall", 0.0, 1);
+  error(2);
+  EXPECT_LT(util::faultpoint::StatsOf("campaign.unit.stall").evaluations,
+            configs.size() - 2);
+  util::faultpoint::DisarmAll();
 }
 
 }  // namespace

@@ -197,6 +197,53 @@ TEST_F(ServerCancel, CancelVerbStopsAComputingCampaignMidFlight) {
             1.0);
 }
 
+TEST_F(ServerCancel, ConcurrentJobCancelIsNotHeldByAnotherJobsCampaign) {
+  // Two jobs at 4 threads share the process-wide worker pool.  The long
+  // one's whole-unit claim loops occupy every pool worker for its whole
+  // campaign, so the short one's pool tasks queue behind them; the short
+  // job must still finish (here: be cancelled) on its own caller thread
+  // instead of waiting for the long campaign to end.
+  ServiceOptions options;
+  options.workers = 2;
+  options.cache.capacity_bytes = 0;
+  CampaignService service(options);
+  util::faultpoint::Arm(kStall, 1.0, 11);  // every unit costs >= 25 ms
+
+  SubmitOutcome long_outcome;
+  std::thread long_job([&] {
+    CampaignRequest r = SmallRequest("cascade6");
+    r.max_followers = 3;  // 130 units: >= 0.8 s on 4 threads
+    r.threads = 4;
+    long_outcome = service.Submit(r);
+  });
+  ASSERT_TRUE(WaitForProgress(8));  // all four of its claimers are busy
+
+  SubmitOutcome short_outcome;
+  std::uint64_t units_started_when_short_returned = 0;
+  std::thread short_job([&] {
+    CampaignRequest r = SmallRequest("cascade6");
+    r.max_followers = 2;  // 46 units: >= 1.1 s on one thread
+    r.threads = 4;
+    r.request_id = "short-1";
+    short_outcome = service.Submit(r);
+    units_started_when_short_returned =
+        util::faultpoint::StatsOf(kStall).evaluations;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(service.Cancel("short-1"));
+  short_job.join();
+  long_job.join();
+
+  EXPECT_FALSE(short_outcome.ok);
+  EXPECT_EQ(short_outcome.error_kind, "cancelled");
+  ASSERT_TRUE(long_outcome.ok) << long_outcome.error;
+  // Had the short job waited on its queued tasks, it would have returned
+  // only once the long job's claimers ran out of units to start.
+  EXPECT_LT(units_started_when_short_returned,
+            util::faultpoint::StatsOf(kStall).evaluations)
+      << "the cancelled job waited for the other job's campaign";
+}
+
 TEST_F(ServerCancel, FollowersOfACancelledLeaderRecomputeCleanly) {
   // The poisoned-flight pin: followers who joined a leader's single
   // flight must not inherit the leader's cancellation — they retry from
@@ -208,6 +255,10 @@ TEST_F(ServerCancel, FollowersOfACancelledLeaderRecomputeCleanly) {
   std::thread leader([&] {
     CampaignRequest r = SmallRequest("khn");
     r.request_id = "leader-1";
+    // One thread keeps the stalled units serial (~25 ms each), so the
+    // campaign outlasts the 100 ms the followers get to join; threads stay
+    // outside the request key, so the followers still join this flight.
+    r.threads = 1;
     leader_outcome = service.Submit(r);
   });
   ASSERT_TRUE(WaitForProgress(1));
@@ -263,8 +314,13 @@ TEST_F(ServerCancel, QueueFullRejectionCarriesABackoffHint) {
 
 TEST_F(ServerCancel, ShutdownDrainsRunningJobsToDurableDiskRecords)
 {
-  const CampaignRequest requests[] = {SmallRequest("biquad"),
-                                      SmallRequest("khn")};
+  // One thread per job keeps each job at one stalled unit boundary per
+  // ~25 ms, so two boundaries mean both jobs are computing; at more threads
+  // one job's whole-unit claimers pass two boundaries at once, and the
+  // shutdown could reject the other job before it is admitted.  Threads
+  // stay outside the request key.
+  CampaignRequest requests[] = {SmallRequest("biquad"), SmallRequest("khn")};
+  for (CampaignRequest& r : requests) r.threads = 1;
   SubmitOutcome outcomes[2];
   {
     ServiceOptions options = DiskOptions();

@@ -353,7 +353,10 @@ TEST(ServerDaemon, CliRejectsOutOfRangeRequestFields) {
                             "'transient_steps'"},
                        Case{"--analysis transient --t-end -1",
                             "'transient_t_end'"},
-                       Case{"--screen-margin 0.5", "'screen_margin'"}}) {
+                       Case{"--screen-margin 0.5", "'screen_margin'"},
+                       Case{"--eps abc", "--eps"},
+                       Case{"--ppd 12x", "--ppd"},
+                       Case{"--samples abc", "--samples"}}) {
     EXPECT_EQ(RunCmd(cli + " analyze --circuit biquad " + c.flags +
                      " > /dev/null 2> " + err),
               1)

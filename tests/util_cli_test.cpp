@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/error.hpp"
+
 namespace mcdft::util {
 namespace {
 
@@ -53,9 +55,39 @@ TEST(CliArgs, PositionalArguments) {
   EXPECT_EQ(a.Positional()[1], "file2");
 }
 
-TEST(CliArgs, UnparsableDoubleFallsBack) {
-  auto a = Make({"--eps", "abc"});
-  EXPECT_DOUBLE_EQ(a.GetDouble("eps", 9.0), 9.0);
+/// The message of the util::Error `get` throws, or "" when it returns.
+template <typename Get>
+std::string ErrorOf(Get get) {
+  try {
+    get();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliArgs, UnparsableDoubleThrows) {
+  auto a = Make({"--eps", "abc", "--tol=", "--f0", "1k5"});
+  EXPECT_NE(ErrorOf([&] { a.GetDouble("eps", 9.0); }).find("--eps"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf([&] { a.GetDouble("tol", 9.0); }).find("--tol"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf([&] { a.GetDouble("f0", 9.0); }).find("--f0"),
+            std::string::npos);
+}
+
+TEST(CliArgs, UnparsableIntThrows) {
+  auto a = Make({"--ppd", "12x", "--samples", "abc", "--n", "",
+                 "--big", "2147483648", "--neg", "-7", "--max", "2147483647"});
+  for (const char* flag : {"ppd", "samples", "n", "big"}) {
+    EXPECT_NE(ErrorOf([&] { a.GetInt(flag, 1); }).find(std::string("--") + flag),
+              std::string::npos)
+        << flag;
+  }
+  EXPECT_NE(ErrorOf([&] { a.GetInt("big", 1); }).find("out of range"),
+            std::string::npos);
+  EXPECT_EQ(a.GetInt("neg", 1), -7);
+  EXPECT_EQ(a.GetInt("max", 1), 2147483647);
 }
 
 TEST(CliArgs, FlagFollowedByFlag) {

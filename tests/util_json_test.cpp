@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 
 namespace mcdft::util::json {
 namespace {
@@ -66,6 +71,62 @@ TEST(Json, DoubleSerializationRoundTripsExactly) {
   for (double v : {0.1, 1.0 / 3.0, 1e-300, 123456.789, 2.5e17}) {
     const double back = Parse(Value::Number(v).Serialize(0)).AsDouble();
     EXPECT_EQ(back, v);
+  }
+}
+
+/// The number formatter this serializer shipped with before it moved to
+/// std::to_chars, kept as the reference its bytes must match: "%.0f" for
+/// integers below 1e15, else the first "%.{p}g" (p = 1..16) that sscanf
+/// reads back exactly, else "%.17g".
+std::string ReferenceNumberText(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  for (int prec = 1; prec < 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    double back = 0.0;
+    std::sscanf(buf, "%lf", &back);
+    if (back == v) return buf;
+  }
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+void ExpectReferenceBytes(double v) {
+  EXPECT_EQ(Value::Number(v).Serialize(0), ReferenceNumberText(v))
+      << "bits " << std::hex << std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(Json, NumberBytesMatchReferenceFormatterOnEdgeCases) {
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {p, -p, std::nextafter(p, 0.0),
+                           std::nextafter(p, 2.0 * p), 3.0 * p / 2.0}) {
+      ExpectReferenceBytes(v);
+    }
+  }
+  for (const double v :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(), 1e15, -1e15, 1e15 - 1.0,
+        1e15 + 2.0, 999999999999999.5, std::nextafter(1e15, 0.0),
+        std::nextafter(1e15, 2e15), 1e16, 0.1, 0.2, 0.3, 1.0 / 3.0, 5e-324,
+        2.2250738585072014e-308, 1e23, 9007199254740993.0, 123456.789e-300}) {
+    ExpectReferenceBytes(v);
+  }
+}
+
+TEST(Json, NumberBytesMatchReferenceFormatterOnRandomBits) {
+  std::mt19937_64 rng(0x75CA2);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int i = 0; i < 20'000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) ExpectReferenceBytes(v);
+    // Campaign-shaped values: deviations, responses, frequencies.
+    ExpectReferenceBytes(unit(rng) * std::pow(10.0, (i % 40) - 20));
   }
 }
 

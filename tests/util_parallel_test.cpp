@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "util/metrics.hpp"
 
 namespace mcdft::util {
 namespace {
@@ -64,6 +68,42 @@ TEST(Parallel, NestedSectionsRunInline) {
     ParallelFor(4, 8, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(Parallel, SectionNeverWaitsOnTasksQueuedBehindAnotherSection) {
+  // Section A holds every pool worker until section B is done, so B's
+  // pool tasks sit in the queue behind A's.  B's caller must run those
+  // ranges itself rather than wait for tasks that have not started.
+  const std::size_t ways = std::max<std::size_t>(
+      4, static_cast<std::size_t>(
+             metrics::GetGauge("util.parallel.workers").Value()) + 1);
+  std::atomic<bool> b_done{false};
+  std::atomic<std::size_t> a_running{0};
+  std::atomic<std::size_t> a_exited{0};
+  std::thread a([&] {
+    ParallelForRange(ways, ways, [&](std::size_t begin, std::size_t) {
+      if (begin == 0) return;
+      a_running.fetch_add(1);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!b_done.load() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      a_exited.fetch_add(1);
+    });
+  });
+  for (int i = 0; i < 5'000 && a_running.load() < ways - 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(a_running.load(), ways - 1);
+
+  std::vector<std::atomic<int>> hits(8);
+  ParallelFor(4, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  const std::size_t a_exited_when_b_returned = a_exited.load();
+  b_done.store(true);
+  a.join();
+  EXPECT_EQ(a_exited_when_b_returned, 0u) << "B waited for A's ranges";
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(Parallel, DeterministicOrderedReduction) {

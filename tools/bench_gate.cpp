@@ -155,7 +155,13 @@ int main(int argc, char** argv) {
       args.GetString("baseline", "BENCH_campaign.json");
   const std::string fresh_path = args.GetString("fresh", "");
   const std::string summary_path = args.GetString("summary", "");
-  const double min_ratio = args.GetDouble("min-ratio", 0.6);
+  double min_ratio = 0.6;
+  try {
+    min_ratio = args.GetDouble("min-ratio", min_ratio);
+  } catch (const mcdft::util::Error& e) {
+    std::fprintf(stderr, "bench_gate: %s\n", e.what());
+    return 2;
+  }
   const bool report_only = args.Has("report-only");
   if (fresh_path.empty()) {
     std::fprintf(stderr,

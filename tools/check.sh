@@ -61,7 +61,7 @@ NIGHTLY_FAULT_SPEC='checkpoint.write.short:0.25:1234,checkpoint.write.fsync:0.10
 # threads, request cancellation/deadlines (tokens fired across threads
 # mid-campaign), socket timeout reaping, and the sharded LRU / result /
 # shared-factor caches.
-PARALLEL_FILTER='Campaign*:ToleranceEnvelope*:Parallel*:SolverReuse*:LowRank*:*Batch*:*Screen*:ShardMerge*:TransientShardMerge*:Resilience.ShardContractHoldsOnEverySolvePath:Metrics*:Trace*:RunReport*:*Server*:*Daemon*:*Cache*:Lru*:*Cancel*:UtilSocket*'
+PARALLEL_FILTER='Campaign*:WholeUnitScheduling*:ToleranceEnvelope*:Parallel*:SolverReuse*:LowRank*:*Batch*:*Screen*:ShardMerge*:TransientShardMerge*:Resilience.ShardContractHoldsOnEverySolvePath:Metrics*:Trace*:RunReport*:*Server*:*Daemon*:*Cache*:Lru*:*Cancel*:UtilSocket*'
 
 if [[ "$run_tier1" == 1 ]]; then
   echo "=== tier-1: configure + build + ctest ==="

@@ -46,28 +46,34 @@ int main(int argc, char** argv) {
   }
 
   core::server::ServiceOptions options;
-  options.workers = static_cast<std::size_t>(args.GetInt("workers", 2));
-  options.queue_limit = static_cast<std::size_t>(args.GetInt("queue", 64));
-  // MCDFT_CACHE_MB wins over --cache-mb so operators can disable the cache
-  // without editing service files; both express megabytes.
-  const std::size_t flag_mb =
-      static_cast<std::size_t>(args.GetInt("cache-mb", 256));
-  options.cache.capacity_bytes = core::CacheCapacityFromEnv(flag_mb);
-  options.cache.disk_dir = args.GetString("cache-dir", "");
-  if (!options.cache.disk_dir.empty()) {
-    ::mkdir(options.cache.disk_dir.c_str(), 0777);  // EEXIST is fine
-  }
-  options.factor_cache_bytes =
-      static_cast<std::size_t>(args.GetInt("factor-cache-mb", 64)) << 20;
-  // Shutdown drain budget: in-flight and queued jobs get this long to
-  // finish before being cancelled.
-  options.drain_budget_ms = args.GetInt("drain-ms", 5'000);
-
   core::server::DaemonOptions daemon_options;
+  int tcp_port = 0;
+  try {
+    options.workers = static_cast<std::size_t>(args.GetInt("workers", 2));
+    options.queue_limit = static_cast<std::size_t>(args.GetInt("queue", 64));
+    // MCDFT_CACHE_MB wins over --cache-mb so operators can disable the cache
+    // without editing service files; both express megabytes.
+    const std::size_t flag_mb =
+        static_cast<std::size_t>(args.GetInt("cache-mb", 256));
+    options.cache.capacity_bytes = core::CacheCapacityFromEnv(flag_mb);
+    options.cache.disk_dir = args.GetString("cache-dir", "");
+    if (!options.cache.disk_dir.empty()) {
+      ::mkdir(options.cache.disk_dir.c_str(), 0777);  // EEXIST is fine
+    }
+    options.factor_cache_bytes =
+        static_cast<std::size_t>(args.GetInt("factor-cache-mb", 64)) << 20;
+    // Shutdown drain budget: in-flight and queued jobs get this long to
+    // finish before being cancelled.
+    options.drain_budget_ms = args.GetInt("drain-ms", 5'000);
+    // Per-connection I/O budget (read + write); MCDFT_IO_TIMEOUT_MS wins
+    // over --io-timeout-ms, 0 disables the timeouts.
+    daemon_options.io_timeout_ms = args.GetInt("io-timeout-ms", 30'000);
+    tcp_port = args.GetInt("tcp", 0);
+  } catch (const util::Error& e) {
+    std::fprintf(stderr, "mcdftd: %s\n", e.what());
+    return 2;
+  }
   daemon_options.service = options;
-  // Per-connection I/O budget (read + write); MCDFT_IO_TIMEOUT_MS wins
-  // over --io-timeout-ms, 0 disables the timeouts.
-  daemon_options.io_timeout_ms = args.GetInt("io-timeout-ms", 30'000);
   if (const char* env = std::getenv("MCDFT_IO_TIMEOUT_MS")) {
     daemon_options.io_timeout_ms = std::atoi(env);
   }
@@ -86,7 +92,7 @@ int main(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
 
   util::Listener listener = socket_path.empty()
-                                ? util::Listener::Tcp(args.GetInt("tcp", 0))
+                                ? util::Listener::Tcp(tcp_port)
                                 : util::Listener::Unix(socket_path);
   if (!listener.Valid()) {
     std::fprintf(stderr, "mcdftd: %s\n", listener.Error().c_str());
