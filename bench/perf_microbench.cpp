@@ -22,7 +22,6 @@
 #include "faults/stamp_delta.hpp"
 #include "linalg/lowrank.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/simd/kernels.hpp"
 #include "linalg/sparse_lu.hpp"
 #include "testability/tolerance.hpp"
 
@@ -192,7 +191,7 @@ BENCHMARK(BM_AcSweepCascade6);
 // faults, each solved either by an SMW rank update (stamp delta + two
 // triangular solves + k-by-k system) or by the classic numeric
 // refactorization of the faulty matrix.  The pair quantifies the kernel
-// speedup that bench_campaign_throughput observes end to end.
+// speedup of the campaign's SMW fault path.
 constexpr const char* kLowRankCircuits[] = {"biquad", "cascade6", "leapfrog"};
 
 void BM_FaultSolveSmwUpdate(benchmark::State& state) {
@@ -232,59 +231,6 @@ void BM_FaultSolveSmwUpdate(benchmark::State& state) {
   state.counters["faults"] = static_cast<double>(fault_list.size());
 }
 BENCHMARK(BM_FaultSolveSmwUpdate)->Arg(0)->Arg(1)->Arg(2);
-
-// Same workload as BM_FaultSolveSmwUpdate, but the circuit's faults are
-// gathered into multi-RHS SolveBatch calls of the given width (arg 1).
-// Width 1 measures pure batching overhead; the wide rows show the SoA
-// multi-RHS + SIMD payoff per fault.
-void BM_SmwSolveBatched(benchmark::State& state) {
-  auto block =
-      circuits::FindInZoo(kLowRankCircuits[state.range(0)]).build();
-  auto fault_list = faults::MakeDeviationFaults(block.netlist);
-  spice::MnaSystem sys(block.netlist);
-  const double omega = 2.0 * 3.141592653589793 * 1234.5;
-  linalg::TripletMatrix a;
-  linalg::Vector b;
-  sys.Assemble(spice::AnalysisKind::kAc, omega, a, b);
-  linalg::SparseLu lu{linalg::CsrMatrix(a)};
-  linalg::LowRankUpdateSolver smw;
-  smw.Bind(lu, b);
-
-  struct Target {
-    std::size_t index;
-    spice::Element* element;
-  };
-  std::vector<Target> targets;
-  for (const auto& f : fault_list) {
-    targets.push_back(Target{sys.ElementIndexOf(f.Device()),
-                             &block.netlist.GetElement(f.Device())});
-  }
-  const std::size_t width = static_cast<std::size_t>(state.range(1));
-  faults::FaultStampDelta::Scratch scratch;
-  std::vector<linalg::LowRankPerturbation> deltas(width);
-  linalg::SmwBatch batch;
-  for (auto _ : state) {
-    for (std::size_t begin = 0; begin < fault_list.size(); begin += width) {
-      const std::size_t count =
-          std::min(width, fault_list.size() - begin);
-      for (std::size_t l = 0; l < count; ++l) {
-        const std::size_t j = begin + l;
-        faults::FaultStampDelta::Compute(sys, *targets[j].element,
-                                         targets[j].index, fault_list[j],
-                                         spice::AnalysisKind::kAc, omega,
-                                         scratch, deltas[l]);
-      }
-      smw.SolveBatch(deltas.data(), count, batch);
-      benchmark::DoNotOptimize(batch.Count());
-    }
-  }
-  state.SetLabel(std::string(kLowRankCircuits[state.range(0)]) + "/" +
-                 mcdft::linalg::simd::Active().name);
-  state.counters["faults"] = static_cast<double>(fault_list.size());
-  state.counters["batch"] = static_cast<double>(width);
-}
-BENCHMARK(BM_SmwSolveBatched)
-    ->ArgsProduct({{0, 1, 2}, {1, 8, 32, 128}});
 
 // The adjoint transpose-solve behind the sensitivity screen: one
 // SolveTranspose of the probe indicator against the already-computed
@@ -368,53 +314,6 @@ void BM_SensitivityScreen(benchmark::State& state) {
                 static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SensitivityScreen)->Arg(0)->Arg(1)->Arg(2);
-
-// The packed complex kernels in isolation, at the dispatched ISA level:
-// broadcast-coefficient AXPY (the multi-RHS triangular-solve update) and
-// per-lane-coefficient multiply-add (the blocked U*y correction).
-void BM_SimdCaxpySub(benchmark::State& state) {
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  std::vector<double> x_re(m), x_im(m), y_re(m), y_im(m);
-  for (std::size_t l = 0; l < m; ++l) {
-    x_re[l] = u(rng); x_im[l] = u(rng); y_re[l] = u(rng); y_im[l] = u(rng);
-  }
-  const auto& kern = mcdft::linalg::simd::Active();
-  for (auto _ : state) {
-    kern.caxpy_sub(m, 0.75, -0.25, x_re.data(), x_im.data(), y_re.data(),
-                   y_im.data());
-    benchmark::DoNotOptimize(y_re.data());
-    benchmark::DoNotOptimize(y_im.data());
-  }
-  state.SetLabel(kern.name);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_SimdCaxpySub)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_SimdCmadd(benchmark::State& state) {
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  std::mt19937_64 rng(13);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  std::vector<double> a_re(m), a_im(m), x_re(m), x_im(m), y_re(m), y_im(m);
-  for (std::size_t l = 0; l < m; ++l) {
-    a_re[l] = u(rng); a_im[l] = u(rng);
-    x_re[l] = u(rng); x_im[l] = u(rng);
-    y_re[l] = u(rng); y_im[l] = u(rng);
-  }
-  const auto& kern = mcdft::linalg::simd::Active();
-  for (auto _ : state) {
-    kern.cmadd(m, a_re.data(), a_im.data(), x_re.data(), x_im.data(),
-               y_re.data(), y_im.data());
-    benchmark::DoNotOptimize(y_re.data());
-    benchmark::DoNotOptimize(y_im.data());
-  }
-  state.SetLabel(kern.name);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_SimdCmadd)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_FaultSolveRefactor(benchmark::State& state) {
   auto block =

@@ -281,32 +281,12 @@ namespace {
 
 // The unit's cells, in AssembleConfigRow's slot layout (nominal, then the
 // faults of [fault_begin, fault_end)).  Every cell is a pure function of
-// (configured netlist values, grid), so each path below gives the same
+// (configured netlist values, grid), so both paths below give the same
 // bytes at any thread count and for any split of the fault range.
 std::vector<spice::FrequencyResponse> SimulateUnit(
     const PreparedConfig& prepared, const CampaignFrame& frame,
     const std::vector<faults::Fault>& fault_list, std::size_t fault_begin,
     std::size_t fault_end, const CampaignOptions& options) {
-  if (options.analysis != CampaignAnalysis::kTransient &&
-      !spice::LowRankFaultSolvesEnabled(options.mna)) {
-    // Fault-major sweeps (--no-lowrank): slot 0 is the nominal sweep, slot
-    // 1+j the unit's j-th fault.  Fault injection mutates the simulator's
-    // netlist, so every worker range owns a simulator.
-    std::vector<spice::FrequencyResponse> responses(1 + fault_end -
-                                                    fault_begin);
-    util::ParallelForRange(
-        options.threads, responses.size(),
-        [&](std::size_t begin, std::size_t end) {
-          faults::FaultSimulator simulator(prepared.netlist, frame.sweep,
-                                           frame.probe, options.mna);
-          for (std::size_t t = begin; t < end; ++t) {
-            responses[t] = t == 0 ? simulator.SimulateNominalResilient()
-                                  : simulator.SimulateFaultResilient(
-                                        fault_list[fault_begin + t - 1]);
-          }
-        });
-    return responses;
-  }
   faults::FaultSimulator simulator(prepared.netlist, frame.sweep, frame.probe,
                                    options.mna);
   if (options.analysis == CampaignAnalysis::kTransient) {

@@ -258,10 +258,10 @@ ConfigResult AssembleConfigRow(const ConfigVector& cv,
 /// configuration (PrepareCampaignConfig), simulates the unit's cells and
 /// scores them (AssembleConfigRow) under the spans campaign.prepare /
 /// campaign.simulate / campaign.assemble.  The simulate step is the one
-/// place the solve path is chosen: transient trajectories, the
-/// frequency-major SMW sweep, or resilient fault-major sweeps when
-/// low-rank solves are off.  Returns the (partial) row; the unit's faulty
-/// responses are dropped before it returns.
+/// place the solve path is chosen: transient trajectories or the
+/// frequency-major SMW sweep (FaultSimulator::SimulateRange).  Returns the
+/// (partial) row; the unit's faulty responses are dropped before it
+/// returns.
 ConfigResult RunCampaignUnit(DftCircuit& work, const CampaignFrame& frame,
                              const ConfigVector& cv,
                              const std::vector<faults::Fault>& fault_list,

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "linalg/simd/kernels.hpp"
 #include "util/parallel.hpp"
 
 namespace mcdft::core {
@@ -15,33 +14,6 @@ namespace trace = util::trace;
 namespace {
 
 double Seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
-
-std::uint64_t CounterValue(const metrics::Snapshot& delta,
-                           std::string_view name) {
-  for (const auto& c : delta.counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
-/// Batched fault-solve occupancy: how full the SMW batches ran and how many
-/// cells peeled out onto the exact ladder.  All zeros when batching is off.
-json::Value BatchingSection(const metrics::Snapshot& delta) {
-  const std::uint64_t batches = CounterValue(delta, "faults.sim.batches");
-  const std::uint64_t cells = CounterValue(delta, "faults.sim.batched_cells");
-  const std::uint64_t peeled = CounterValue(delta, "faults.sim.batch_peeled");
-  json::Value section = json::Value::Object();
-  section.Set("batches", json::Value::Number(batches));
-  section.Set("batched_cells", json::Value::Number(cells));
-  section.Set("peeled_cells", json::Value::Number(peeled));
-  section.Set("mean_occupancy",
-              json::Value::Number(batches == 0
-                                      ? 0.0
-                                      : static_cast<double>(cells) /
-                                            static_cast<double>(batches)));
-  section.Set("simd", json::Value::Str(linalg::simd::Active().name));
-  return section;
-}
 
 /// Counters under `prefix.` folded into one JSON object (prefix stripped).
 json::Value CounterGroup(const metrics::Snapshot& delta,
@@ -150,15 +122,6 @@ json::Value EnvironmentSection() {
   const char* metrics_env = std::getenv("MCDFT_METRICS");
   env.Set("mcdft_metrics_env", metrics_env ? json::Value::Str(metrics_env)
                                            : json::Value::Null());
-  const char* simd_env = std::getenv("MCDFT_SIMD");
-  env.Set("mcdft_simd_env", simd_env ? json::Value::Str(simd_env)
-                                     : json::Value::Null());
-  const char* batch_env = std::getenv("MCDFT_BATCH");
-  env.Set("mcdft_batch_env", batch_env ? json::Value::Str(batch_env)
-                                       : json::Value::Null());
-  const char* screen_env = std::getenv("MCDFT_SCREEN");
-  env.Set("mcdft_screen_env", screen_env ? json::Value::Str(screen_env)
-                                         : json::Value::Null());
   const char* cache_env = std::getenv("MCDFT_CACHE_MB");
   env.Set("mcdft_cache_mb_env", cache_env ? json::Value::Str(cache_env)
                                           : json::Value::Null());
@@ -200,10 +163,10 @@ json::Value CampaignRunRecorder::Finish(const CampaignResult& campaign,
   enable_.reset();  // restore the pre-recorder enable state
 
   json::Value report = json::Value::Object();
-  // Schema /7: request-lifecycle counters (server.deadline_exceeded,
-  // server.cancelled, server.drained, server.overlong_line) join the
-  // daemon's server group.
-  report.Set("schema", json::Value::Str("mcdft.run_report/7"));
+  // Schema /8: the batched fault-solve section and the environment echoes
+  // of the deleted engine gates are gone.  (/7 added the request-lifecycle
+  // counters.)
+  report.Set("schema", json::Value::Str("mcdft.run_report/8"));
   report.Set("tool", json::Value::Str(options.tool));
   if (!options.circuit.empty()) {
     report.Set("circuit", json::Value::Str(options.circuit));
@@ -247,13 +210,11 @@ json::Value CampaignRunRecorder::Finish(const CampaignResult& campaign,
   // Schema /6: the adjoint sensitivity screen (cells skipped as clearly
   // detected/undetected, cells sent to the exact path as borderline, the
   // adjoint transpose-solves behind it, and guard-band rejections).
-  // All-zero when the screen is off or the workload is not AC low-rank.
+  // All-zero when the screen is off or the workload is transient.
   report.Set("screen", CounterGroup(delta, "faults.screen"));
-  // Schema /5: the transient workload class (trajectories, steps, SMW
-  // decline/fallback accounting, quarantined time points).  All-zero for
-  // AC campaigns.
+  // Schema /5: the transient workload class (trajectories, steps,
+  // quarantined time points).  All-zero for AC campaigns.
   report.Set("transient", CounterGroup(delta, "transient"));
-  report.Set("batching", BatchingSection(delta));
   report.Set("shard", CounterGroup(delta, "core.shard"));
   report.Set("checkpoint", CounterGroup(delta, "core.checkpoint"));
   // Schema /4: the daemon's result-cache and request-serving counters plus

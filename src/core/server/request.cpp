@@ -79,8 +79,6 @@ CampaignRequest RequestFromJson(const json::Value& v) {
   r.samples = IntOr(v, "samples", r.samples, 0, 1'000'000);
   r.ppd = IntOr(v, "ppd", r.ppd, 1, 100'000);
   r.max_followers = IntOr(v, "max_followers", r.max_followers, -1, 1024);
-  r.lowrank = BoolOr(v, "lowrank", r.lowrank);
-  r.batch = BoolOr(v, "batch", r.batch);
   r.screen = BoolOr(v, "screen", r.screen);
   r.screen_margin = NumberOr(v, "screen_margin", r.screen_margin);
   if (r.screen_margin < 1.0) {
@@ -140,8 +138,6 @@ json::Value RequestToJson(const CampaignRequest& request) {
   v.Set("ppd", json::Value::Number(static_cast<std::int64_t>(request.ppd)));
   v.Set("max_followers", json::Value::Number(
                              static_cast<std::int64_t>(request.max_followers)));
-  v.Set("lowrank", json::Value::Bool(request.lowrank));
-  v.Set("batch", json::Value::Bool(request.batch));
   // The screen fields ride the wire only when non-default, like the
   // transient fields below: pre-screen clients' request bytes (and hence
   // daemon cache keys computed from them) are unchanged.
@@ -276,8 +272,6 @@ CampaignJob BuildCampaignJob(const CampaignRequest& request) {
     options.tolerance->component_tolerance = request.tol;
     options.tolerance->samples = static_cast<std::size_t>(request.samples);
   }
-  if (!request.lowrank) options.mna.lowrank_fault_updates = false;
-  if (!request.batch) options.mna.fault_batch = 0;
   options.mna.sensitivity_screen = request.screen;
   options.mna.screen_margin = request.screen_margin;
   options.threads = request.threads <= 0

@@ -42,8 +42,6 @@ struct CampaignRequest {
   int samples = 48;
   int ppd = 50;
   int max_followers = -1;          ///< < 0 = the default k (see below)
-  bool lowrank = true;
-  bool batch = true;
 
   /// Adjoint sensitivity screen (MnaOptions::sensitivity_screen).  Omitted
   /// from the wire when true so existing requests keep their bytes.

@@ -144,29 +144,16 @@ std::string CampaignContentHash(const DftCircuit& circuit,
   }
   blob += "|backend=" + std::to_string(static_cast<int>(options.mna.backend));
   blob += "|dense=" + std::to_string(options.mna.dense_threshold);
-  // The low-rank and batch gates select a solve path on AC campaigns only
-  // (transient trajectories always re-march exactly), so a transient
-  // campaign hashes alike with either setting.
   if (options.analysis != CampaignAnalysis::kTransient) {
-    // The *effective* low-rank gate, not the raw flag: SMW changes results
-    // at rounding level (~1e-12), so checkpoints from lowrank and
-    // fault-major runs must never merge — while option combinations that
-    // resolve to the same path (e.g. lowrank requested but the cache is
-    // off) hash alike.
-    blob += "|lowrank=";
-    blob += spice::LowRankFaultSolvesEnabled(options.mna) ? "1" : "0";
-    // Only the on/off gate, never the width: batched SMW solves are
-    // bit-identical at every batch width, so runs differing only in width
-    // may share checkpoints.  (The gate itself is likewise bit-identical
-    // to unbatched today — kept in the hash so a future divergence fails
-    // safe.)
-    blob += "|batch=";
-    blob += spice::BatchedFaultSolvesEnabled(options.mna) ? "1" : "0";
+    // AC campaigns run one fault path (frequency-major SMW).  This constant
+    // is what the default path has always folded in here, so AC
+    // checkpoints and cache records written before that path became the
+    // only one keep their hash and stay valid.
+    blob += "|lowrank=1|batch=1";
     // Sensitivity screen: detectability verdicts are bit-identical either
     // way, but a skipped cell stores its first-order deviation value, so
     // screened and unscreened checkpoints must never merge.  Appended only
-    // when the screen is effective on this campaign (low-rank path +
-    // env/option gate), so unscreened runs — and every pre-screen
+    // when the screen is on, so unscreened runs — and every pre-screen
     // checkpoint — keep their hash byte for byte.  The margin moves the
     // screened/borderline frontier, hence rides along.
     if (spice::SensitivityScreenEnabled(options.mna)) {

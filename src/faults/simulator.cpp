@@ -4,7 +4,6 @@
 #include <numbers>
 #include <optional>
 
-#include "core/error.hpp"
 #include "faults/stamp_delta.hpp"
 #include "linalg/lowrank.hpp"
 #include "linalg/lu.hpp"
@@ -21,6 +20,14 @@ namespace {
 
 bool Finite(linalg::Complex v) {
   return std::isfinite(v.real()) && std::isfinite(v.imag());
+}
+
+/// Probe voltage V(plus) - V(minus) from a raw unknown vector.
+linalg::Complex ProbeValue(const spice::Probe& probe, const linalg::Vector& x) {
+  const auto at = [&](spice::NodeId node) {
+    return node == spice::kGround ? linalg::Complex(0.0, 0.0) : x[node - 1];
+  };
+  return at(probe.plus) - at(probe.minus);
 }
 
 metrics::Counter& RetryCounter() {
@@ -67,83 +74,6 @@ spice::FrequencyResponse FaultSimulator::SimulateFault(const Fault& fault) const
   return r;
 }
 
-spice::FrequencyResponse FaultSimulator::SimulateResilient(
-    const Fault* fault) const {
-  const std::string label = fault ? fault->Label() : "nominal";
-  if (!options_.retry_ladder) {
-    return fault ? SimulateFault(*fault) : SimulateNominal();
-  }
-
-  // Classic (fault-major) retry ladder, sweep granularity: a sweep that
-  // throws — or contains a non-finite probe value — is retried once on a
-  // fresh dense-backend analyzer (different factorization path, no pivot
-  // ordering reuse).  Points still bad after the retry are quarantined;
-  // a retry that throws quarantines the whole sweep.  Everything here is
-  // serial and a pure function of (netlist values, sweep), so the outcome
-  // is independent of thread/shard partitioning.
-  std::optional<spice::FrequencyResponse> r;
-  try {
-    r = fault ? SimulateFault(*fault) : SimulateNominal();
-  } catch (const util::Error&) {
-    r.reset();
-  }
-
-  const auto has_bad_point = [](const spice::FrequencyResponse& resp) {
-    for (const auto& v : resp.values) {
-      if (!Finite(v)) return true;
-    }
-    return false;
-  };
-
-  if (!r || has_bad_point(*r)) {
-    RetryCounter().Add();
-    try {
-      spice::MnaOptions dense = options_;
-      dense.backend = spice::SolverBackend::kDense;
-      std::optional<ScopedFaultInjection> injection;
-      if (fault) injection.emplace(work_, *fault);
-      spice::AcAnalyzer fresh(work_, dense);
-      spice::FrequencyResponse retried = fresh.Run(sweep_, probe_);
-      retried.label = label;
-      r = std::move(retried);
-    } catch (const util::Error&) {
-      if (!r) {
-        // Both attempts threw: quarantine the entire sweep.
-        spice::FrequencyResponse all_bad;
-        all_bad.freqs_hz = sweep_.Frequencies();
-        all_bad.values.assign(all_bad.freqs_hz.size(),
-                              linalg::Complex(0.0, 0.0));
-        all_bad.label = label;
-        for (std::size_t i = 0; i < all_bad.freqs_hz.size(); ++i) {
-          all_bad.MarkQuarantined(i);
-        }
-        QuarantineCounter().Add(all_bad.freqs_hz.size());
-        return all_bad;
-      }
-      // Keep the first attempt's response; its bad points are quarantined
-      // below.
-    }
-    // Quarantine whatever is still non-finite after the retry.
-    for (std::size_t i = 0; i < r->values.size(); ++i) {
-      if (!Finite(r->values[i])) {
-        r->values[i] = linalg::Complex(0.0, 0.0);
-        r->MarkQuarantined(i);
-        QuarantineCounter().Add();
-      }
-    }
-  }
-  return *r;
-}
-
-spice::FrequencyResponse FaultSimulator::SimulateNominalResilient() const {
-  return SimulateResilient(nullptr);
-}
-
-spice::FrequencyResponse FaultSimulator::SimulateFaultResilient(
-    const Fault& fault) const {
-  return SimulateResilient(&fault);
-}
-
 namespace {
 
 /// Per-point screening context of the sensitivity screen: the deviation
@@ -176,9 +106,7 @@ class FreqMajorBlock {
   FreqMajorBlock(const spice::Netlist& base, const spice::MnaOptions& options,
                  double omega0, const std::vector<Fault>& faults,
                  std::size_t fault_begin, std::size_t fault_end)
-      : local_(base.Clone()), sys_(local_, options),
-        batch_size_(spice::EffectiveFaultBatch(options)),
-        ladder_(options.retry_ladder) {
+      : local_(base.Clone()), sys_(local_, options) {
     // Resolve each fault's target once: the per-point loop then skips the
     // name lookup (hash + case fold) on every (fault, frequency) pair.
     targets_.reserve(fault_end - fault_begin);
@@ -192,10 +120,6 @@ class FreqMajorBlock {
     program_.Record(sys_, omega0, a_, rhs_);
     pattern_.emplace(a_);
     program_.Bind(*pattern_);
-    if (!ladder_) {
-      ref_lu_.emplace(pattern_->Matrix());
-      return;
-    }
     try {
       ref_lu_.emplace(pattern_->Matrix());
     } catch (const util::Error&) {
@@ -210,27 +134,13 @@ class FreqMajorBlock {
   /// Solve the nominal system at `omega` (t == 0 reuses the anchor
   /// assembly) and bind the SMW solver; returns the probe value, or
   /// nullopt when the whole retry ladder failed (quarantine the point).
-  /// Without the ladder, failures propagate as exceptions (fail-fast).
   std::optional<linalg::Complex> SolveNominal(std::size_t t, double omega,
                                               const spice::Probe& probe) {
     if (t != 0) program_.Evaluate(omega, *pattern_, rhs_);
     point_lu_.reset();
     smw_bound_ = false;
-    dense_nominal_ = false;
     bound_lu_ = nullptr;
     lambda_valid_ = false;
-
-    if (!ladder_) {
-      linalg::SparseLu* lu = &*ref_lu_;
-      if (t != 0 && !ref_lu_->Refactor(pattern_->Matrix())) {
-        point_lu_.emplace(pattern_->Matrix());
-        lu = &*point_lu_;
-      }
-      smw_.Bind(*lu, rhs_);
-      smw_bound_ = true;
-      bound_lu_ = lu;
-      return ProbeValue(probe, smw_.NominalSolution());
-    }
 
     // Stage 1: anchored sparse factorization (the normal path).
     try {
@@ -275,42 +185,25 @@ class FreqMajorBlock {
     // matrix sums duplicates in stamp order: the program's CSR values do,
     // while the anchor's were compressed from its triplets (sorted order).
     try {
-      dense_x0_ = linalg::SolveDense(
-          t == 0 ? a_.ToDense() : pattern_->Matrix().ToDense(), rhs_);
-      const linalg::Complex v = ProbeValue(probe, dense_x0_);
-      if (Finite(v)) {
-        dense_nominal_ = true;
-        return v;
-      }
+      const linalg::Complex v = ProbeValue(
+          probe, linalg::SolveDense(t == 0 ? a_.ToDense()
+                                           : pattern_->Matrix().ToDense(),
+                                    rhs_));
+      if (Finite(v)) return v;
     } catch (const util::Error&) {
     }
     return std::nullopt;
   }
 
   /// Solve the bound point with fault `slot` of the block's range injected:
-  /// SMW rank-update when the stamp delta allows it, exact fresh
-  /// factorization otherwise, then (ladder only) jittered-pivot and dense
-  /// retries.  Returns the probe value, or nullopt when quarantined.
-  std::optional<linalg::Complex> SolveFaultValue(const Fault& fault,
-                                                 std::size_t slot,
-                                                 double omega,
-                                                 const spice::Probe& probe,
-                                                 const ScreenPoint* sp) {
+  /// the sensitivity screen first (when `sp` is set), then an SMW
+  /// rank-update when the stamp delta allows it, the exact ladder
+  /// otherwise.  Returns the probe value, or nullopt when quarantined.
+  std::optional<linalg::Complex> SolveFault(const Fault& fault,
+                                            std::size_t slot, double omega,
+                                            const spice::Probe& probe,
+                                            const ScreenPoint* sp) {
     const Target& target = targets_[slot];
-
-    if (!ladder_) {
-      if (FaultStampDelta::Compute(sys_, *target.element, target.index, fault,
-                                   spice::AnalysisKind::kAc, omega, scratch_,
-                                   delta_)) {
-        if (const std::optional<linalg::Complex> screened =
-                TryScreen(fault, delta_, probe, sp)) {
-          return screened;
-        }
-        std::optional<linalg::Vector> x = smw_.Solve(delta_);
-        if (x) return ProbeValue(probe, *x);
-      }
-      return SolveFaultExact(fault, slot, omega, probe);
-    }
 
     // Stage 0: SMW rank-update against the bound nominal factorization.  A
     // declined update (rank cap, RHS delta, conditioning guard) is the
@@ -342,10 +235,16 @@ class FreqMajorBlock {
     return SolveFaultExact(fault, slot, omega, probe);
   }
 
+ private:
+  /// A fault's pre-resolved injection target.
+  struct Target {
+    std::size_t index;        // MNA element index
+    spice::Element* element;  // element inside local_
+  };
+
   /// Solve fault `slot` at the bound point exactly — everything after the
-  /// SMW stage of SolveFaultValue(), shared with the batched path so a
-  /// cell peeled out of a batch walks the identical ladder.  Returns the
-  /// probe value, or nullopt when the ladder is exhausted (quarantine).
+  /// SMW stage of SolveFault().  Returns the probe value, or nullopt when
+  /// the ladder is exhausted (quarantine).
   std::optional<linalg::Complex> SolveFaultExact(const Fault& fault,
                                                  std::size_t slot,
                                                  double omega,
@@ -354,19 +253,6 @@ class FreqMajorBlock {
         metrics::GetCounter("faults.sim.exact_fallback");
     const Target& target = targets_[slot];
     exact_fallback.Add();
-
-    if (!ladder_) {
-      ScopedFaultInjection injection(*target.element, fault);
-      sys_.Assemble(spice::AnalysisKind::kAc, omega, a_, rhs_);
-      if (pattern_->Matches(a_)) {
-        pattern_->Update(a_);
-        linalg::SparseLu lu(pattern_->Matrix());
-        return ProbeValue(probe, lu.Solve(rhs_));
-      }
-      // A fault that changes the stamp structure (opamp model promotion):
-      // solve outside the cached pattern.
-      return ProbeValue(probe, linalg::SolveSparse(linalg::CsrMatrix(a_), rhs_));
-    }
 
     std::optional<ScopedFaultInjection> injection;
     try {
@@ -379,6 +265,8 @@ class FreqMajorBlock {
       RetryCounter().Add();
       return std::nullopt;
     }
+    // A fault that changes the stamp structure (opamp model promotion) is
+    // solved outside the cached pattern.
     const bool same_structure = pattern_->Matches(a_);
     if (same_structure) pattern_->Update(a_);
 
@@ -457,174 +345,6 @@ class FreqMajorBlock {
     lambda_valid_ = true;
   }
 
-  /// Solve every fault of the block's range at the bound point and return
-  /// the per-slot values (nullopt = quarantined).  With a nonzero batch
-  /// width and a bound SMW solver the faults run in chunks through
-  /// LowRankUpdateSolver::SolveBatch(); every outcome a batch reports maps
-  /// onto exactly the action the unbatched path would have taken for that
-  /// cell (see below), so values, counters and quarantine verdicts are
-  /// bit-identical at any batch width — including width 0, which runs the
-  /// per-fault path directly.
-  const std::vector<std::optional<linalg::Complex>>& SolveFaultRow(
-      const std::vector<Fault>& faults, std::size_t fault_begin, double omega,
-      const spice::Probe& probe, const ScreenPoint* sp = nullptr) {
-    static metrics::Counter& batch_count =
-        metrics::GetCounter("faults.sim.batches");
-    static metrics::Counter& batched_cells =
-        metrics::GetCounter("faults.sim.batched_cells");
-    static metrics::Counter& batch_peeled =
-        metrics::GetCounter("faults.sim.batch_peeled");
-    const std::size_t count = targets_.size();
-    row_.assign(count, std::nullopt);
-    if (batch_size_ == 0 || !smw_bound_) {
-      // Unbatched (or the nominal recovered densely / ladder-failed —
-      // SMW is unbound and every cell takes the exact path anyway).
-      for (std::size_t j = 0; j < count; ++j) {
-        row_[j] =
-            SolveFaultValue(faults[fault_begin + j], j, omega, probe, sp);
-      }
-      return row_;
-    }
-
-    for (std::size_t chunk = 0; chunk < count; chunk += batch_size_) {
-      const std::size_t cells = std::min(batch_size_, count - chunk);
-      // Build the chunk's perturbations.  Cells whose stamp delta does not
-      // exist (kNoDelta) or whose computation threw (kThrew, ladder only —
-      // fail-fast propagates the exception) peel out before the batch.
-      cell_kind_.assign(cells, kLaned);
-      if (deltas_.size() < cells) deltas_.resize(cells);
-      std::size_t laned = 0;
-      for (std::size_t c = 0; c < cells; ++c) {
-        const std::size_t j = chunk + c;
-        const Target& target = targets_[j];
-        bool have = false;
-        if (!ladder_) {
-          have = FaultStampDelta::Compute(
-              sys_, *target.element, target.index, faults[fault_begin + j],
-              spice::AnalysisKind::kAc, omega, scratch_, deltas_[laned]);
-        } else {
-          try {
-            have = FaultStampDelta::Compute(
-                sys_, *target.element, target.index, faults[fault_begin + j],
-                spice::AnalysisKind::kAc, omega, scratch_, deltas_[laned]);
-          } catch (const util::Error&) {
-            RetryCounter().Add();
-            cell_kind_[c] = kThrew;
-            continue;
-          }
-        }
-        if (have) {
-          // Screen the cell before it claims a lane: a decided verdict
-          // stores the first-order value and skips the SMW/exact path
-          // entirely.  The classification reads only (fault, delta, bound
-          // nominal, screen point) — identical in the unbatched path — so
-          // the screened set is invariant under batch width.
-          if (const std::optional<linalg::Complex> screened = TryScreen(
-                  faults[fault_begin + j], deltas_[laned], probe, sp)) {
-            cell_kind_[c] = kScreened;
-            row_[j] = screened;
-          } else {
-            ++laned;
-          }
-        } else {
-          cell_kind_[c] = kNoDelta;
-        }
-      }
-
-      if (laned > 0) {
-        batch_count.Add();
-        batched_cells.Add(laned);
-        smw_.SolveBatch(deltas_.data(), laned, batch_);
-      }
-
-      // Resolve every cell of the chunk, peeling batch rejections onto the
-      // same exact ladder the unbatched path uses.
-      std::size_t compact = 0;
-      for (std::size_t c = 0; c < cells; ++c) {
-        const std::size_t j = chunk + c;
-        const Fault& fault = faults[fault_begin + j];
-        if (cell_kind_[c] == kScreened) continue;  // value already stored
-        if (cell_kind_[c] != kLaned) {
-          // kThrew already counted its retry; kNoDelta is the normal
-          // exact fallback (unbatched: Compute false -> exact).
-          row_[j] = SolveFaultExact(fault, j, omega, probe);
-          batch_peeled.Add();
-          continue;
-        }
-        const std::size_t cell = compact++;
-        switch (batch_.Status(cell)) {
-          case linalg::SmwBatchStatus::kSolved:
-          case linalg::SmwBatchStatus::kNominal: {
-            const linalg::Complex v =
-                batch_.Status(cell) == linalg::SmwBatchStatus::kNominal
-                    ? ProbeValue(probe, smw_.NominalSolution())
-                    : ProbeBatchValue(probe, cell);
-            if (!ladder_ || Finite(v)) {
-              row_[j] = v;
-            } else {
-              // Unbatched: non-finite SMW value = one retry, then exact.
-              RetryCounter().Add();
-              row_[j] = SolveFaultExact(fault, j, omega, probe);
-              batch_peeled.Add();
-            }
-            break;
-          }
-          case linalg::SmwBatchStatus::kDeclined:
-            // Unbatched: Solve() returned nullopt -> exact fallback.
-            row_[j] = SolveFaultExact(fault, j, omega, probe);
-            batch_peeled.Add();
-            break;
-          case linalg::SmwBatchStatus::kFailed:
-            // Unbatched: Solve() threw.  Fail-fast rethrows; the ladder
-            // counts a retry and escalates to the exact path.
-            if (!ladder_) {
-              throw core::McdftError(core::ErrorCategory::kInjected,
-                                     "faultpoint smw.solve");
-            }
-            RetryCounter().Add();
-            row_[j] = SolveFaultExact(fault, j, omega, probe);
-            batch_peeled.Add();
-            break;
-        }
-      }
-    }
-    return row_;
-  }
-
-  /// Probe voltage V(plus) - V(minus) from a raw unknown vector.
-  linalg::Complex ProbeValue(const spice::Probe& probe,
-                             const linalg::Vector& x) const {
-    const auto at = [&](spice::NodeId node) {
-      return node == spice::kGround ? linalg::Complex(0.0, 0.0)
-                                    : x[node - 1];
-    };
-    return at(probe.plus) - at(probe.minus);
-  }
-
- private:
-  /// A fault's pre-resolved injection target.
-  struct Target {
-    std::size_t index;        // MNA element index
-    spice::Element* element;  // element inside local_
-  };
-
-  // Chunk-cell classification of the batched path.
-  static constexpr unsigned char kLaned = 0;    // entered the SMW batch
-  static constexpr unsigned char kNoDelta = 1;  // no stamp delta: exact path
-  static constexpr unsigned char kThrew = 2;    // delta computation threw
-  static constexpr unsigned char kScreened = 3; // sensitivity screen decided
-
-  /// Probe voltage of a kSolved batch cell (same arithmetic as ProbeValue
-  /// over the cell's solution lanes).
-  linalg::Complex ProbeBatchValue(const spice::Probe& probe,
-                                  std::size_t cell) const {
-    const auto at = [&](spice::NodeId node) {
-      return node == spice::kGround ? linalg::Complex(0.0, 0.0)
-                                    : batch_.At(cell, node - 1);
-    };
-    return at(probe.plus) - at(probe.minus);
-  }
-
   spice::Netlist local_;
   spice::MnaSystem sys_;
   std::vector<Target> targets_;
@@ -637,16 +357,7 @@ class FreqMajorBlock {
   linalg::LowRankUpdateSolver smw_;
   FaultStampDelta::Scratch scratch_;
   linalg::LowRankPerturbation delta_;
-  // Batched-path scratch, reused across points and chunks.
-  std::size_t batch_size_ = 0;
-  std::vector<linalg::LowRankPerturbation> deltas_;
-  linalg::SmwBatch batch_;
-  std::vector<unsigned char> cell_kind_;
-  std::vector<std::optional<linalg::Complex>> row_;
-  bool ladder_ = true;
-  bool smw_bound_ = false;     // SMW holds a valid nominal at this point
-  bool dense_nominal_ = false; // nominal recovered densely at this point
-  linalg::Vector dense_x0_;
+  bool smw_bound_ = false;  // SMW holds a valid nominal at this point
   // Sensitivity-screen state of the bound point (see TryScreen).
   linalg::SparseLu* bound_lu_ = nullptr;  // factorization behind smw_
   linalg::Vector adjoint_rhs_;            // probe indicator p
@@ -668,20 +379,6 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
     throw util::AnalysisError("fault range out of bounds");
   }
   const std::size_t count = fault_end - fault_begin;
-
-  if (!spice::LowRankFaultSolvesEnabled(options_)) {
-    // Escape hatch (--no-lowrank / MCDFT_LOWRANK=0 / dense or uncached
-    // solver): classic fault-major sweeps, same slot layout, with the same
-    // quarantine semantics at sweep granularity.
-    std::vector<spice::FrequencyResponse> out;
-    out.reserve(1 + count);
-    out.push_back(SimulateNominalResilient());
-    for (std::size_t j = fault_begin; j < fault_end; ++j) {
-      out.push_back(SimulateFaultResilient(faults[j]));
-    }
-    return out;
-  }
-
   nominal_sweeps.Add();
   fault_sweeps.Add(count);
   util::trace::Span span("faults.sim.freq_major");
@@ -689,7 +386,6 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
   const std::vector<double>& freqs = sweep_.Frequencies();
   const std::size_t points = freqs.size();
   constexpr double kTwoPi = 2.0 * std::numbers::pi;
-  const bool ladder = options_.retry_ladder;
 
   std::vector<spice::FrequencyResponse> out(1 + count);
   out[0].label = "nominal";
@@ -705,13 +401,11 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
   // bit-packs, so adjacent frequency blocks would race on shared words —
   // bytes keep the parallel writes disjoint.  Folded into the responses'
   // masks after the join.
-  std::vector<std::vector<unsigned char>> qmask;
-  if (ladder) {
-    qmask.assign(1 + count, std::vector<unsigned char>(points, 0));
-  }
+  std::vector<std::vector<unsigned char>> qmask(
+      1 + count, std::vector<unsigned char>(points, 0));
 
-  // Effective screen gate: a spec from the campaign, the env/option gate,
-  // and a threshold grid matching this sweep.  When active, a pass-1
+  // Effective screen gate: a spec from the campaign, the option gate, and
+  // a threshold grid matching this sweep.  When active, a pass-1
   // nominal-only sweep prices the deviation denominators the classifier
   // divides by — the denominator couples every point through the sweep's
   // peak |T|, so it cannot be computed inside the per-point loop.  The
@@ -751,12 +445,10 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
           if (!nominal) {
             // Nominal quarantined: every fault cell at this omega is
             // quarantined with it (there is no reference to compare
-            // against).  Ladder mode only — without it SolveNominal threw.
-            qmask[0][t] = 1;
-            out[0].values[t] = linalg::Complex(0.0, 0.0);
-            for (std::size_t j = 0; j < count; ++j) {
-              qmask[1 + j][t] = 1;
-              out[1 + j].values[t] = linalg::Complex(0.0, 0.0);
+            // against).
+            for (std::size_t s = 0; s <= count; ++s) {
+              qmask[s][t] = 1;
+              out[s].values[t] = linalg::Complex(0.0, 0.0);
             }
             continue;
           }
@@ -765,12 +457,12 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
               screening ? ScreenPoint{denoms[t], screen->threshold[t],
                                       screen->margin}
                         : ScreenPoint{};
-          const std::vector<std::optional<linalg::Complex>>& row =
-              block.SolveFaultRow(faults, fault_begin, omega, probe_,
-                                  screening ? &sp : nullptr);
           for (std::size_t j = 0; j < count; ++j) {
-            if (row[j]) {
-              out[1 + j].values[t] = *row[j];
+            const std::optional<linalg::Complex> v =
+                block.SolveFault(faults[fault_begin + j], j, omega, probe_,
+                                 screening ? &sp : nullptr);
+            if (v) {
+              out[1 + j].values[t] = *v;
             } else {
               qmask[1 + j][t] = 1;
               out[1 + j].values[t] = linalg::Complex(0.0, 0.0);
@@ -779,18 +471,16 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
         }
       });
 
-  if (ladder) {
-    std::size_t quarantined = 0;
-    for (std::size_t s = 0; s < qmask.size(); ++s) {
-      for (std::size_t t = 0; t < points; ++t) {
-        if (qmask[s][t]) {
-          out[s].MarkQuarantined(t);
-          ++quarantined;
-        }
+  std::size_t quarantined = 0;
+  for (std::size_t s = 0; s < qmask.size(); ++s) {
+    for (std::size_t t = 0; t < points; ++t) {
+      if (qmask[s][t]) {
+        out[s].MarkQuarantined(t);
+        ++quarantined;
       }
     }
-    if (quarantined > 0) QuarantineCounter().Add(quarantined);
   }
+  if (quarantined > 0) QuarantineCounter().Add(quarantined);
   return out;
 }
 
@@ -807,35 +497,27 @@ class TransientBlock {
  public:
   TransientBlock(const spice::Netlist& base, const spice::MnaOptions& options,
                  const spice::TransientSpec& spec)
-      : local_(base.Clone()),
-        sys_(local_, options),
-        spec_(spec),
-        ladder_(options.retry_ladder) {}
+      : local_(base.Clone()), sys_(local_, options), spec_(spec) {}
 
   /// March the nominal trajectory into `values` (sized spec.steps).
-  /// Returns the first bad step index (spec.steps == clean); the ladder
-  /// retries a singular sparse factorization densely before giving up,
-  /// without it the exception propagates (fail-fast).
+  /// Returns the first bad step index (spec.steps == clean); a singular
+  /// sparse factorization is retried densely before giving up.
   std::size_t MarchNominal(const spice::Probe& probe,
                            std::vector<linalg::Complex>& values) {
     TrajectoryCounter().Add();
     spice::TransientStepper stepper(sys_, local_, spec_);
     std::optional<linalg::SparseLu> lu;
-    if (!ladder_) {
+    try {
       lu.emplace(linalg::CsrMatrix(stepper.Matrix()));
-    } else {
-      try {
-        lu.emplace(linalg::CsrMatrix(stepper.Matrix()));
-      } catch (const util::Error&) {
-        RetryCounter().Add();
-      }
+    } catch (const util::Error&) {
+      RetryCounter().Add();
     }
     if (lu) {
       return MarchLoop(stepper, probe, values, [&](const linalg::Vector& b) {
         return lu->Solve(b);
       });
     }
-    // Sparse factorization failed (ladder mode): dense fallback.
+    // Sparse factorization failed: dense fallback.
     std::optional<linalg::Matrix> dense;
     try {
       dense = stepper.Matrix().ToDense();
@@ -848,9 +530,8 @@ class TransientBlock {
   }
 
   /// March fault `fault` (pre-resolved `element`) into `values`: injection
-  /// + fresh assembly + own factorization (sparse, then with the ladder
-  /// jittered-pivot, then dense), marched from t = 0.  Returns the first
-  /// bad step index.
+  /// + fresh assembly + own factorization (sparse, then jittered-pivot,
+  /// then dense), marched from t = 0.  Returns the first bad step index.
   std::size_t MarchFault(const Fault& fault, spice::Element& element,
                          const spice::Probe& probe,
                          std::vector<linalg::Complex>& values) {
@@ -858,41 +539,32 @@ class TransientBlock {
     // The injection only needs to cover stepper construction: values (and
     // the faulty matrix) are captured there.
     std::optional<spice::TransientStepper> stepper;
-    if (!ladder_) {
+    try {
       ScopedFaultInjection injection(element, fault);
       stepper.emplace(sys_, local_, spec_);
-    } else {
-      try {
-        ScopedFaultInjection injection(element, fault);
-        stepper.emplace(sys_, local_, spec_);
-      } catch (const util::Error&) {
-        // The faulty value is unrepresentable or cannot assemble: nothing
-        // to factor — quarantine the whole trajectory.
-        RetryCounter().Add();
-        return 0;
-      }
+    } catch (const util::Error&) {
+      // The faulty value is unrepresentable or cannot assemble: nothing
+      // to factor — quarantine the whole trajectory.
+      RetryCounter().Add();
+      return 0;
     }
 
     // Factorization ladder over the faulty companion matrix.
     std::optional<linalg::SparseLu> lu;
     std::optional<linalg::Matrix> dense;
-    if (!ladder_) {
+    try {
       lu.emplace(linalg::CsrMatrix(stepper->Matrix()));
-    } else {
+    } catch (const util::Error&) {
+      RetryCounter().Add();
       try {
-        lu.emplace(linalg::CsrMatrix(stepper->Matrix()));
+        lu.emplace(linalg::CsrMatrix(stepper->Matrix()),
+                   linalg::SparseLuOptions{1.0});
       } catch (const util::Error&) {
         RetryCounter().Add();
         try {
-          lu.emplace(linalg::CsrMatrix(stepper->Matrix()),
-                     linalg::SparseLuOptions{1.0});
+          dense = stepper->Matrix().ToDense();
         } catch (const util::Error&) {
-          RetryCounter().Add();
-          try {
-            dense = stepper->Matrix().ToDense();
-          } catch (const util::Error&) {
-            return 0;
-          }
+          return 0;
         }
       }
     }
@@ -910,19 +582,13 @@ class TransientBlock {
 
  private:
   /// Shared per-step loop: solve, probe, advance.  Returns the first bad
-  /// step (ladder) or throws on failure (fail-fast).
+  /// step: one that throws or probes a non-finite value.
   template <typename Solver>
   std::size_t MarchLoop(spice::TransientStepper& stepper,
                         const spice::Probe& probe,
                         std::vector<linalg::Complex>& values, Solver solve) {
     for (std::size_t k = 0; k < spec_.steps; ++k) {
       StepCounter().Add();
-      if (!ladder_) {
-        const linalg::Vector x = solve(stepper.NextRhs());
-        values[k] = ProbeValue(probe, x);
-        stepper.Advance(x);
-        continue;
-      }
       try {
         const linalg::Vector x = solve(stepper.NextRhs());
         const linalg::Complex v = ProbeValue(probe, x);
@@ -949,17 +615,8 @@ class TransientBlock {
     return c;
   }
 
-  linalg::Complex ProbeValue(const spice::Probe& probe,
-                             const linalg::Vector& x) const {
-    const auto at = [&](spice::NodeId node) {
-      return node == spice::kGround ? linalg::Complex(0.0, 0.0) : x[node - 1];
-    };
-    return at(probe.plus) - at(probe.minus);
-  }
-
   spice::MnaSystem sys_;
   spice::TransientSpec spec_;
-  bool ladder_ = true;
 };
 
 }  // namespace
@@ -976,7 +633,6 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
   const std::size_t count = fault_end - fault_begin;
   const std::vector<double> times = spec.Times();  // validates the spec
   const std::size_t points = spec.steps;
-  const bool ladder = options_.retry_ladder;
   util::trace::Span span("faults.sim.transient");
 
   std::vector<spice::FrequencyResponse> out(1 + count);
@@ -1008,25 +664,23 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
         }
       });
 
-  if (ladder) {
-    // Fold quarantines: a slot is bad from its own first failure, and every
-    // slot is bad wherever the nominal reference is bad.
-    std::size_t quarantined = 0;
-    const auto fold = [&](spice::FrequencyResponse& r, std::size_t from) {
-      for (std::size_t t = from; t < points; ++t) {
-        r.values[t] = linalg::Complex(0.0, 0.0);
-        r.MarkQuarantined(t);
-        ++quarantined;
-      }
-    };
-    fold(out[0], nominal_good);
-    for (std::size_t j = 0; j < count; ++j) {
-      fold(out[1 + j], std::min(first_bad[j], nominal_good));
+  // Fold quarantines: a slot is bad from its own first failure, and every
+  // slot is bad wherever the nominal reference is bad.
+  std::size_t quarantined = 0;
+  const auto fold = [&](spice::FrequencyResponse& r, std::size_t from) {
+    for (std::size_t t = from; t < points; ++t) {
+      r.values[t] = linalg::Complex(0.0, 0.0);
+      r.MarkQuarantined(t);
+      ++quarantined;
     }
-    if (quarantined > 0) {
-      quarantined_points.Add(quarantined);
-      QuarantineCounter().Add(quarantined);
-    }
+  };
+  fold(out[0], nominal_good);
+  for (std::size_t j = 0; j < count; ++j) {
+    fold(out[1 + j], std::min(first_bad[j], nominal_good));
+  }
+  if (quarantined > 0) {
+    quarantined_points.Add(quarantined);
+    QuarantineCounter().Add(quarantined);
   }
   return out;
 }

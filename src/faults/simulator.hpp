@@ -1,13 +1,13 @@
 // Fault simulation: fault-free and faulty AC responses over a sweep.
 //
 // This is the paper's "extensive fault simulation" (HSPICE in the original,
-// our MNA engine here).  The simulator owns a working copy of the circuit
-// and runs each fault through ScopedFaultInjection, so a campaign of F
-// faults costs F+1 sweeps and no netlist clones.  One AcAnalyzer persists
-// across the whole campaign: fault injection is value-only, so the MNA
-// structure and solve cache carry over from sweep to sweep (the analyzer
-// re-derives its pivot ordering at each sweep's first point, so reuse does
-// not change any numbers).
+// our MNA engine here).  Campaigns call SimulateRange (AC) or
+// SimulateTransientRange.  SimulateNominal / SimulateFault run one plain
+// sweep each through ScopedFaultInjection on the simulator's working copy
+// of the circuit, with one AcAnalyzer persisting across sweeps: fault
+// injection is value-only, so the MNA structure and solve cache carry over
+// (the analyzer re-derives its pivot ordering at each sweep's first point,
+// so reuse does not change any numbers).
 #pragma once
 
 #include "faults/fault_list.hpp"
@@ -42,38 +42,37 @@ class FaultSimulator {
   FaultSimulator(const FaultSimulator&) = delete;
   FaultSimulator& operator=(const FaultSimulator&) = delete;
 
-  /// Fault-free response.
+  /// Fault-free response: one sweep through the persistent analyzer, on
+  /// the options' backend.  Fail-fast: a solve failure throws.  With the
+  /// dense backend this and SimulateFault() are the independent reference
+  /// the campaign path (SimulateRange) is tested against.
   spice::FrequencyResponse SimulateNominal() const;
 
-  /// Response with one fault injected.
+  /// Response with one fault injected (fail-fast, like SimulateNominal()).
   spice::FrequencyResponse SimulateFault(const Fault& fault) const;
-
-  /// Resilient variants used by campaigns: with options.retry_ladder set
-  /// (the default) a failed or non-finite sweep is retried once on a fresh
-  /// dense-backend analyzer and points that stay bad are quarantined in
-  /// the response's mask instead of throwing.  Without the ladder these
-  /// delegate to the fail-fast variants above.
-  spice::FrequencyResponse SimulateNominalResilient() const;
-  spice::FrequencyResponse SimulateFaultResilient(const Fault& fault) const;
 
   /// Nominal + all faulty responses.
   FaultSimCampaign Run(const std::vector<Fault>& faults) const;
 
-  /// Frequency-major fast path over a fault range: returns the nominal
+  /// The campaign's AC fault path over a fault range: returns the nominal
   /// response followed by the responses of faults [fault_begin, fault_end)
   /// in order — the exact slot layout of one campaign-unit row.
   ///
-  /// Per sweep frequency the nominal system is factored once (a numeric
-  /// refactorization under an ordering derived from the sweep's first
-  /// point) and every fault is applied as a Sherman-Morrison-Woodbury
-  /// rank-update against it; faults the SMW path rejects (RHS deltas,
-  /// near-singular updates) are solved exactly from scratch.  The sweep
-  /// parallelizes over frequency blocks; every value is a pure function of
-  /// (netlist values, frequency), so results are bit-identical for any
-  /// `threads` (0 = resolve MCDFT_THREADS) and any fault batching.
+  /// Frequency-major: per sweep frequency the nominal system is factored
+  /// once (a numeric refactorization under an ordering derived from the
+  /// sweep's first point, always sparse whatever the options' backend) and
+  /// every fault is applied as a Sherman-Morrison-Woodbury rank-update
+  /// against it; faults the SMW path rejects (RHS deltas, near-singular
+  /// updates) are solved exactly from scratch.  The sweep parallelizes
+  /// over frequency blocks; every value is a pure function of (netlist
+  /// values, frequency), so results are bit-identical for any `threads`
+  /// (0 = resolve MCDFT_THREADS).
   ///
-  /// When spice::LowRankFaultSolvesEnabled(options) is false this runs the
-  /// classic fault-major sweeps serially instead.
+  /// Failures never throw: a cell whose solve fails or probes a
+  /// non-finite value walks a retry ladder (exact sparse factorization,
+  /// jittered pivot ordering, dense LU) and is quarantined in its
+  /// response's mask when every stage fails; a quarantined nominal
+  /// quarantines its whole frequency point.
   ///
   /// With `screen` set (and spice::SensitivityScreenEnabled(options)), an
   /// adjoint sensitivity screen runs ahead of the fault loop: a pass-1
@@ -98,15 +97,14 @@ class FaultSimulator {
   /// The path is fault-major — a trajectory is sequential in time, so the
   /// parallel axis is the fault range.  Each worker block owns a netlist
   /// clone; every fault re-marches exactly from t = 0 under
-  /// ScopedFaultInjection with its own factorization (low-rank solves are
-  /// never used here, whatever spice::LowRankFaultSolvesEnabled says).
-  /// Every value is a pure function of (netlist values, fault, spec), so
-  /// results — including quarantine masks — are bit-identical at any
-  /// thread or shard count.
+  /// ScopedFaultInjection with its own factorization (no low-rank
+  /// solves).  Every value is a pure function of (netlist values, fault,
+  /// spec), so results — including quarantine masks — are bit-identical
+  /// at any thread or shard count.
   ///
-  /// With options.retry_ladder, a trajectory that fails at step k (after
-  /// sparse -> jittered-pivot -> dense escalation) is quarantined from k to
-  /// the end; a nominal failure at step k quarantines every slot from k.
+  /// A trajectory that fails at step k (after sparse -> jittered-pivot ->
+  /// dense escalation) is quarantined from k to the end; a nominal failure
+  /// at step k quarantines every slot from k.
   std::vector<spice::FrequencyResponse> SimulateTransientRange(
       const std::vector<Fault>& faults, std::size_t fault_begin,
       std::size_t fault_end, std::size_t threads,
@@ -116,10 +114,6 @@ class FaultSimulator {
   const spice::Probe& GetProbe() const { return probe_; }
 
  private:
-  /// Shared body of the resilient sweep variants (fault == nullptr runs
-  /// the nominal sweep).
-  spice::FrequencyResponse SimulateResilient(const Fault* fault) const;
-
   // mutable: SimulateFault temporarily perturbs the working netlist and
   // restores it; the object is logically const.
   mutable spice::Netlist work_;

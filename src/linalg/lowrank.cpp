@@ -1,10 +1,7 @@
 #include "linalg/lowrank.hpp"
 
 #include <cmath>
-#include <cstring>
 
-#include "core/error.hpp"
-#include "linalg/simd/kernels.hpp"
 #include "util/error.hpp"
 #include "util/faultpoint.hpp"
 #include "util/metrics.hpp"
@@ -30,11 +27,9 @@ Complex SparseDot(const std::vector<std::pair<std::size_t, Complex>>& w,
   return acc;
 }
 
-/// k-by-k partial-pivot elimination of C h = g, shared verbatim by Solve()
-/// and SolveBatch() so a cell's accept/decline verdict and h coefficients
-/// cannot depend on which path ran it.  The conditioning guard: a pivot
-/// collapsing relative to the matrix scale (`cmax`) means A + Delta is
-/// (nearly) singular along the update subspace — SMW would amplify
+/// k-by-k partial-pivot elimination of C h = g.  The conditioning guard: a
+/// pivot collapsing relative to the matrix scale (`cmax`) means A + Delta
+/// is (nearly) singular along the update subspace — SMW would amplify
 /// roundoff unboundedly there, so the exact path must decide.  Returns
 /// false on a collapsed (or NaN) pivot or a non-finite coefficient;
 /// `c` and `g` are clobbered either way.
@@ -81,8 +76,8 @@ bool SolveCapacitance(std::size_t k, Complex c[kMaxRank][kMaxRank],
   return true;
 }
 
-/// Hashed faultpoint digest over the perturbation terms — one shared
-/// function so the batched and unbatched paths fail identical cells.
+/// Hashed faultpoint digest over the perturbation terms: an armed run fails
+/// the same cells at any thread or shard count.
 std::uint64_t PerturbationDigest(const LowRankPerturbation& delta) {
   std::uint64_t digest = 0;
   for (const LowRankTerm& term : delta.terms) {
@@ -115,11 +110,6 @@ metrics::Counter& KxkCounter() {
   return c;
 }
 
-metrics::Counter& BatchedCounter() {
-  static metrics::Counter& c = metrics::GetCounter("linalg.smw.batched");
-  return c;
-}
-
 }  // namespace
 
 void LowRankUpdateSolver::Bind(SparseLu& nominal, const Vector& b) {
@@ -131,10 +121,9 @@ void LowRankUpdateSolver::Bind(SparseLu& nominal, const Vector& b) {
   }
   lu_ = &nominal;
   // Pin the factorization onto the factor-program path before the first
-  // triangular solve: Solve() and SolveMulti() then replay one operation
-  // sequence, which is what makes batched and unbatched fault solves
-  // bit-identical even at the sweep's anchor frequency (where the factor
-  // comes straight from construction, not from a Refactor).
+  // triangular solve, so every point of a sweep — the anchor frequency
+  // included, where the factor comes straight from construction rather
+  // than from a Refactor — solves through one operation sequence.
   nominal.EnsureFactorProgram();
   x0_ = nominal.Solve(b);
 }
@@ -157,7 +146,7 @@ std::optional<Vector> LowRankUpdateSolver::Solve(
   // the same (fault, frequency) cells at any thread or shard count.
   if (util::faultpoint::AnyArmed() &&
       util::faultpoint::ShouldFail("smw.solve", PerturbationDigest(delta))) {
-    throw core::McdftError(core::ErrorCategory::kInjected,
+    throw util::McdftError(util::ErrorCategory::kInjected,
                            "faultpoint smw.solve");
   }
   const std::size_t n = lu_->Size();
@@ -206,167 +195,6 @@ std::optional<Vector> LowRankUpdateSolver::Solve(
   for (std::size_t j = 0; j < k; ++j) x.Axpy(-h[j], z_[j]);
   UpdateCounter().Add();
   return x;
-}
-
-void LowRankUpdateSolver::SolveBatch(const LowRankPerturbation* deltas,
-                                     std::size_t count, SmwBatch& out) {
-  if (lu_ == nullptr) {
-    throw util::NumericError("low-rank solver: SolveBatch() before Bind()");
-  }
-  const std::size_t n = lu_->Size();
-  out.statuses_.assign(count, SmwBatchStatus::kDeclined);
-  out.lane_of_.assign(count, SmwBatch::kNoLane);
-  out.width_ = 0;
-
-  // Classify every cell first (cheap, no lanes yet).  The decisions and
-  // counter bumps mirror the prologue of Solve() per cell; a cell that
-  // survives is "laned" and joins the packed stages below.
-  const bool armed = util::faultpoint::AnyArmed();
-  std::size_t group_count[kMaxRank + 1] = {};
-  for (std::size_t cell = 0; cell < count; ++cell) {
-    const LowRankPerturbation& delta = deltas[cell];
-    const std::size_t k = delta.Rank();
-    if (k == 0) {
-      out.statuses_[cell] = SmwBatchStatus::kNominal;
-      UpdateCounter().Add();
-      continue;
-    }
-    if (k > kMaxRank) {
-      FallbackCounter().Add();
-      continue;  // kDeclined
-    }
-    if (armed &&
-        util::faultpoint::ShouldFail("smw.solve", PerturbationDigest(delta))) {
-      out.statuses_[cell] = SmwBatchStatus::kFailed;
-      continue;
-    }
-    // Index validation up front (Solve() throws mid-flight; a batch marks
-    // just the offending cell as failed and the caller escalates it).
-    bool valid = true;
-    for (const LowRankTerm& term : delta.terms) {
-      for (const auto& [idx, val] : term.u) {
-        (void)val;
-        if (idx >= n) valid = false;
-      }
-      for (const auto& [idx, val] : term.w) {
-        (void)val;
-        if (idx >= n) valid = false;
-      }
-    }
-    if (!valid) {
-      out.statuses_[cell] = SmwBatchStatus::kFailed;
-      continue;
-    }
-    out.statuses_[cell] = SmwBatchStatus::kSolved;  // tentative: laned
-    ++group_count[k];
-  }
-
-  // Lane layout.  Output lanes: cells grouped by rank, batch order within
-  // a group.  Z lanes: within rank group k, plane j of all cells is the
-  // contiguous slice [zoff_k + j*gc_k, +gc_k) — so the correction stage's
-  // per-plane multiply-add runs over contiguous lanes.
-  std::size_t ooff[kMaxRank + 1];
-  std::size_t zoff[kMaxRank + 1];
-  std::size_t width = 0, zwidth = 0;
-  for (std::size_t k = 1; k <= kMaxRank; ++k) {
-    ooff[k] = width;
-    zoff[k] = zwidth;
-    width += group_count[k];
-    zwidth += k * group_count[k];
-  }
-  out.width_ = width;
-  if (width == 0) return;  // nothing laned (all nominal/declined/failed)
-
-  out.z_re_.assign(n * zwidth, 0.0);
-  out.z_im_.assign(n * zwidth, 0.0);
-  std::size_t group_pos[kMaxRank + 1] = {};
-  for (std::size_t cell = 0; cell < count; ++cell) {
-    if (out.statuses_[cell] != SmwBatchStatus::kSolved) continue;
-    const std::size_t k = deltas[cell].Rank();
-    const std::size_t pos = group_pos[k]++;
-    out.lane_of_[cell] = ooff[k] + pos;
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t zlane = zoff[k] + j * group_count[k] + pos;
-      for (const auto& [idx, val] : deltas[cell].terms[j].u) {
-        out.z_re_[idx * zwidth + zlane] += val.real();
-        out.z_im_[idx * zwidth + zlane] += val.imag();
-      }
-    }
-  }
-
-  // Z = A^{-1} U for every plane of every cell in one multi-RHS pass.
-  lu_->SolveMulti(zwidth, out.z_re_.data(), out.z_im_.data());
-
-  // Per cell: capacitance matrix, k-by-k solve, correction coefficients.
-  out.coef_re_.assign(zwidth, 0.0);
-  out.coef_im_.assign(zwidth, 0.0);
-  for (std::size_t cell = 0; cell < count; ++cell) {
-    if (out.statuses_[cell] != SmwBatchStatus::kSolved) continue;
-    const LowRankPerturbation& delta = deltas[cell];
-    const std::size_t k = delta.Rank();
-    const std::size_t pos = out.lane_of_[cell] - ooff[k];
-    Complex c[kMaxRank][kMaxRank];
-    Complex g[kMaxRank];
-    double cmax = 1.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      g[i] = SparseDot(delta.terms[i].w, x0_);
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::size_t zlane = zoff[k] + j * group_count[k] + pos;
-        // Same accumulation sequence as SparseDot over a Z column.
-        Complex acc(0.0, 0.0);
-        for (const auto& [idx, val] : delta.terms[i].w) {
-          acc += val * Complex(out.z_re_[idx * zwidth + zlane],
-                               out.z_im_[idx * zwidth + zlane]);
-        }
-        c[i][j] = (i == j ? Complex(1.0, 0.0) : Complex(0.0, 0.0)) + acc;
-        cmax = std::max(cmax, std::abs(c[i][j]));
-      }
-    }
-    KxkCounter().Add();
-    Complex h[kMaxRank];
-    if (!SolveCapacitance(k, c, g, cmax, h)) {
-      FallbackCounter().Add();
-      out.statuses_[cell] = SmwBatchStatus::kDeclined;
-      continue;  // coefficient lanes stay zero; output lane is never read
-    }
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t zlane = zoff[k] + j * group_count[k] + pos;
-      const Complex minus_h = -h[j];
-      out.coef_re_[zlane] = minus_h.real();
-      out.coef_im_[zlane] = minus_h.imag();
-    }
-    UpdateCounter().Add();
-    BatchedCounter().Add();
-  }
-
-  // Correction x = x0 - Z h: broadcast x0 across the output lanes, then
-  // one packed multiply-add per (rank group, plane) per row — per lane
-  // this is exactly the Axpy(-h[j], z_j) sequence of Solve(), j ascending.
-  out.out_re_.resize(n * width);
-  out.out_im_.resize(n * width);
-  const simd::Kernels& kern = simd::Active();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xr = x0_[i].real();
-    const double xi = x0_[i].imag();
-    double* const row_re = out.out_re_.data() + i * width;
-    double* const row_im = out.out_im_.data() + i * width;
-    for (std::size_t l = 0; l < width; ++l) {
-      row_re[l] = xr;
-      row_im[l] = xi;
-    }
-    for (std::size_t k = 1; k <= kMaxRank; ++k) {
-      const std::size_t gc = group_count[k];
-      if (gc == 0) continue;
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::size_t zlane0 = zoff[k] + j * gc;
-        kern.cmadd(gc, out.coef_re_.data() + zlane0,
-                   out.coef_im_.data() + zlane0,
-                   out.z_re_.data() + i * zwidth + zlane0,
-                   out.z_im_.data() + i * zwidth + zlane0, row_re + ooff[k],
-                   row_im + ooff[k]);
-      }
-    }
-  }
 }
 
 }  // namespace mcdft::linalg

@@ -35,55 +35,6 @@ struct LowRankPerturbation {
   std::size_t Rank() const { return terms.size(); }
 };
 
-/// Outcome of one cell of a SolveBatch() call.
-enum class SmwBatchStatus : unsigned char {
-  kSolved,    ///< the cell's lanes hold the perturbed solution
-  kNominal,   ///< rank 0: the solution is the nominal x0
-  kDeclined,  ///< guard rejection (rank cap, conditioning, non-finite
-              ///< coefficients): the caller's normal exact fallback
-  kFailed,    ///< injected faultpoint failure or malformed term indices:
-              ///< equivalent to the unbatched path *throwing* — the caller
-              ///< escalates (retry ladder) or fails fast
-};
-
-/// Result and reusable scratch of one batched SMW solve.  A default
-/// constructed object is passed to SolveBatch(); keeping it alive across
-/// calls recycles every internal buffer, so a campaign's per-frequency
-/// batches allocate only on the first call.
-class SmwBatch {
- public:
-  /// Number of cells of the last SolveBatch() call.
-  std::size_t Count() const { return statuses_.size(); }
-
-  SmwBatchStatus Status(std::size_t cell) const { return statuses_[cell]; }
-
-  /// Solution component `row` of a kSolved cell (other statuses have no
-  /// solution lanes: kNominal cells read the solver's NominalSolution()).
-  Complex At(std::size_t cell, std::size_t row) const {
-    const std::size_t lane = lane_of_[cell];
-    return Complex(out_re_[row * width_ + lane],
-                   out_im_[row * width_ + lane]);
-  }
-
- private:
-  friend class LowRankUpdateSolver;
-  static constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
-
-  std::vector<SmwBatchStatus> statuses_;
-  std::vector<std::size_t> lane_of_;  // cell -> output lane (kNoLane: none)
-  std::size_t width_ = 0;             // output lanes (= laned cell count)
-  // Output block: solution component r of lane l at [r*width_ + l].
-  std::vector<double> out_re_;
-  std::vector<double> out_im_;
-  // Z block: n rows by (sum of cell ranks) lanes, plane-grouped by rank so
-  // each (rank, plane) pair is a contiguous lane slice (see the .cpp).
-  std::vector<double> z_re_;
-  std::vector<double> z_im_;
-  // Per-Z-lane correction coefficients (-h_j of the owning cell).
-  std::vector<double> coef_re_;
-  std::vector<double> coef_im_;
-};
-
 /// Solves (A + Delta) x = b via SMW against a factored nominal A.
 ///
 /// Usage: Bind() once per (factorization, rhs) — typically once per sweep
@@ -92,11 +43,6 @@ class SmwBatch {
 /// near-singular capacitance matrix I + W^T Z, or non-finite coefficients);
 /// the caller must then solve the perturbed system exactly.  Fallbacks bump
 /// the `linalg.smw.fallback` counter, successes `linalg.smw.update`.
-///
-/// SolveBatch() applies many perturbations at once through SoA-packed
-/// multi-RHS triangular solves and the linalg/simd kernels; each cell's
-/// outcome and (for successes) solution are bit-identical to a Solve()
-/// call on the same perturbation, so batching is purely a throughput knob.
 class LowRankUpdateSolver {
  public:
   /// Largest accepted perturbation rank.  A two-terminal stamp is rank <= 2;
@@ -118,16 +64,6 @@ class LowRankUpdateSolver {
 
   /// Solve (A + delta) x = b for the bound system.  Rank 0 returns x0.
   std::optional<Vector> Solve(const LowRankPerturbation& delta);
-
-  /// Solve `count` perturbations against the bound system in one batched
-  /// pass: lanes are grouped by rank, Z = A^{-1} U runs as one multi-RHS
-  /// triangular solve, the k-by-k systems solve per cell (scalar, shared
-  /// with Solve()), and the x0 - Z h corrections accumulate through the
-  /// packed complex kernels.  Per-cell statuses, counters and solutions
-  /// match `count` individual Solve() calls bit-for-bit; a guard rejection
-  /// or injected failure affects only its own cell (see SmwBatchStatus).
-  void SolveBatch(const LowRankPerturbation* deltas, std::size_t count,
-                  SmwBatch& out);
 
  private:
   SparseLu* lu_ = nullptr;

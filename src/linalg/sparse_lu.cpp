@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
-#include "core/error.hpp"
-#include "linalg/simd/kernels.hpp"
+#include "util/error.hpp"
 #include "util/faultpoint.hpp"
 #include "util/metrics.hpp"
 
@@ -68,7 +66,7 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
           "sparse_lu.factor",
           util::faultpoint::DigestBytes(
               a.Values().data(), a.Values().size() * sizeof(Complex)))) {
-    throw core::McdftError(core::ErrorCategory::kInjected,
+    throw util::McdftError(util::ErrorCategory::kInjected,
                            "faultpoint sparse_lu.factor");
   }
   lower_.assign(n_, {});
@@ -132,8 +130,8 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
       }
     }
     if (best_row == n_) {
-      throw core::McdftError(
-          core::ErrorCategory::kSingularSystem,
+      throw util::McdftError(
+          util::ErrorCategory::kSingularSystem,
           "sparse LU found no acceptable pivot at step " +
               std::to_string(step) + " of " + std::to_string(n_));
     }
@@ -520,53 +518,6 @@ Vector SparseLu::SolveTranspose(const Vector& c) {
   Vector lambda(n_);
   for (std::size_t k = 0; k < n_; ++k) lambda[row_perm_[k]] = work[k];
   return lambda;
-}
-
-void SparseLu::SolveMulti(std::size_t lanes, double* re, double* im) {
-  if (lanes == 0) return;
-  EnsureFlatFactor();
-  const simd::Kernels& kern = simd::Active();
-  const Complex* const sv = slot_val_.data();
-  multi_y_re_.resize(n_ * lanes);
-  multi_y_im_.resize(n_ * lanes);
-  // Forward elimination, in place on the caller's lanes: lane l replays
-  // exactly the scalar forward pass (y_step = work[row_perm_[step]];
-  // work[target] -= m * y_step).
-  for (std::size_t step = 0; step < n_; ++step) {
-    double* const yr = multi_y_re_.data() + step * lanes;
-    double* const yi = multi_y_im_.data() + step * lanes;
-    std::memcpy(yr, re + row_perm_[step] * lanes, lanes * sizeof(double));
-    std::memcpy(yi, im + row_perm_[step] * lanes, lanes * sizeof(double));
-    for (std::size_t t = step_target_ptr_[step];
-         t < step_target_ptr_[step + 1]; ++t) {
-      const Complex m = sv[target_mult_slot_[t]];
-      const std::size_t row = target_row_[t];
-      kern.caxpy_sub(lanes, m.real(), m.imag(), yr, yi, re + row * lanes,
-                     im + row * lanes);
-    }
-  }
-  // Backward substitution: the accumulator reuses the y rows; per-lane
-  // divisions stay scalar std::complex so the pivot quotient is
-  // bit-identical to Solve().
-  for (std::size_t s = n_; s-- > 0;) {
-    double* const ar = multi_y_re_.data() + s * lanes;
-    double* const ai = multi_y_im_.data() + s * lanes;
-    for (std::size_t u = step_u_ptr_[s]; u < step_u_ptr_[s + 1]; ++u) {
-      const Complex uv = sv[u_slot_[u]];
-      const std::size_t col = u_col_[u];
-      kern.caxpy_sub(lanes, uv.real(), uv.imag(), re + col * lanes,
-                     im + col * lanes, ar, ai);
-    }
-    const std::size_t pslot = step_pivot_slot_[s];
-    const Complex piv = pslot == kNoSlot ? Complex(0.0, 0.0) : sv[pslot];
-    double* const xr = re + col_perm_[s] * lanes;
-    double* const xi = im + col_perm_[s] * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const Complex q = Complex(ar[l], ai[l]) / piv;
-      xr[l] = q.real();
-      xi[l] = q.imag();
-    }
-  }
 }
 
 std::size_t SparseLu::FactorNonZeroCount() const {

@@ -8,9 +8,7 @@
 // machinery: the first Refactor() compiles the elimination into a *factor
 // program* — a symbolic-superset schedule of flat value-array indices (see
 // CompileProgram) — and every subsequent refactor is a branch-light replay
-// of multiplier divisions and indexed multiply-subtracts.  The same flat
-// storage backs SolveMulti(), the SoA multi-RHS triangular solve that the
-// batched SMW fault path runs through the linalg/simd kernels.
+// of multiplier divisions and indexed multiply-subtracts.
 #pragma once
 
 #include "linalg/sparse.hpp"
@@ -29,7 +27,7 @@ struct SparseLuOptions {
 class SparseLu {
  public:
   /// Factorize.  Throws NumericError on non-square input and
-  /// core::McdftError (category kSingularSystem) on singular input.
+  /// util::McdftError (category kSingularSystem) on singular input.
   explicit SparseLu(const CsrMatrix& a, SparseLuOptions options = {});
 
   /// Numeric-only refactorization: redo the elimination of `a` (same
@@ -69,15 +67,6 @@ class SparseLu {
   /// reason as Solve()).
   Vector SolveTranspose(const Vector& c);
 
-  /// Multi-RHS triangular solve, in place, over SoA lanes: `re`/`im` hold
-  /// `lanes` right-hand sides with component r of lane l at index
-  /// r*lanes + l; on return the same layout holds the solutions.  Each
-  /// lane's arithmetic is the exact per-entry operation sequence of
-  /// Solve() (the SIMD kernels only change how lanes are grouped, never
-  /// what one lane computes), so lane results are bit-identical at any
-  /// lane count.  Compiles the factor program on first use.
-  void SolveMulti(std::size_t lanes, double* re, double* im);
-
   /// Matrix dimension.
   std::size_t Size() const noexcept { return n_; }
 
@@ -85,14 +74,15 @@ class SparseLu {
   /// metric, exercised by the perf bench and ordering tests).
   std::size_t FactorNonZeroCount() const;
 
-  /// True once the factor program has been compiled (first Refactor or
-  /// SolveMulti).  Exposed for tests.
+  /// True once the factor program has been compiled (first Refactor,
+  /// SolveTranspose or EnsureFactorProgram).  Exposed for tests.
   bool HasFactorProgram() const noexcept { return have_program_; }
 
   /// Compile the factor program and move the current factor into the flat
-  /// storage now (normally lazy).  Solve() then runs the program path, so
-  /// callers that mix Solve() and SolveMulti() against one factorization
-  /// (the SMW batch path) see a single operation sequence for both.
+  /// storage now (normally lazy).  Solve() then runs the program path at
+  /// every point of a sweep, the anchor included (where the factor comes
+  /// straight from construction, not from a Refactor), so low-rank fault
+  /// solves see one operation sequence per sweep.
   void EnsureFactorProgram() { EnsureFlatFactor(); }
 
  private:
@@ -119,8 +109,8 @@ class SparseLu {
   void CompileProgram();
 
   /// Scatter the construction-time factor (lower_/upper_) into the flat
-  /// slot array so Solve/SolveMulti can run the program before any
-  /// Refactor happened.
+  /// slot array so Solve can run the program before any Refactor
+  /// happened.
   void LoadLegacyFactor();
 
   /// Replay the program over the values of `a` (same pattern); the numeric
@@ -128,7 +118,7 @@ class SparseLu {
   bool ReplayRefactor(const CsrMatrix& a);
 
   /// Compile the program and load current factor values if not already
-  /// flat (first SolveMulti on a freshly constructed factor).
+  /// flat (a freshly constructed factor).
   void EnsureFlatFactor();
 
   /// Slot index of position (row, col); kNoSlot when outside the compiled
@@ -179,9 +169,6 @@ class SparseLu {
   // Solve() workspace (forward-elimination copy of b and intermediate y).
   Vector work_b_;
   Vector work_y_;
-  // SolveMulti() workspace (SoA intermediate y, n*lanes each).
-  std::vector<double> multi_y_re_;
-  std::vector<double> multi_y_im_;
 };
 
 /// One-shot sparse solve.

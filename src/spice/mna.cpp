@@ -6,10 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <numbers>
-#include <string_view>
 
 namespace mcdft::spice {
 
@@ -216,42 +214,8 @@ class DeltaStampContext final : public StampContext {
 
 }  // namespace
 
-bool LowRankFaultSolvesEnabled(const MnaOptions& options) {
-  static const bool env_enabled = [] {
-    const char* v = std::getenv("MCDFT_LOWRANK");
-    return v == nullptr || std::string_view(v) != "0";
-  }();
-  return env_enabled && options.lowrank_fault_updates &&
-         options.cache_factorization &&
-         options.backend != SolverBackend::kDense;
-}
-
-std::size_t EffectiveFaultBatch(const MnaOptions& options) {
-  // -1 = no override; read once so mid-run environment edits cannot split
-  // a campaign across two behaviors.
-  static const long long env_batch = [] {
-    const char* v = std::getenv("MCDFT_BATCH");
-    if (v == nullptr || *v == '\0') return -1LL;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(v, &end, 10);
-    if (end == v || *end != '\0' || parsed < 0) return -1LL;
-    return parsed;
-  }();
-  if (env_batch >= 0) return static_cast<std::size_t>(env_batch);
-  return options.fault_batch;
-}
-
-bool BatchedFaultSolvesEnabled(const MnaOptions& options) {
-  return EffectiveFaultBatch(options) > 0 && LowRankFaultSolvesEnabled(options);
-}
-
 bool SensitivityScreenEnabled(const MnaOptions& options) {
-  static const bool env_enabled = [] {
-    const char* v = std::getenv("MCDFT_SCREEN");
-    return v == nullptr || std::string_view(v) != "0";
-  }();
-  return env_enabled && options.sensitivity_screen &&
-         LowRankFaultSolvesEnabled(options);
+  return options.sensitivity_screen;
 }
 
 MnaSystem::MnaSystem(const Netlist& netlist, MnaOptions options)

@@ -35,34 +35,6 @@ struct MnaOptions {
   /// and parametric (value-only) faults, doing numeric-only refactorization
   /// per point.  kDense is unaffected (dense LU has no reusable analysis).
   bool cache_factorization = true;
-  /// When true, AC fault campaigns may solve faulty systems as rank-<=2
-  /// Sherman-Morrison-Woodbury updates against the nominal factorization
-  /// (frequency-major sweeps) instead of refactoring per (fault, omega)
-  /// cell; transient campaigns ignore it and always re-march exactly.
-  /// Results change only at rounding level (~1e-12 relative);
-  /// `mcdft analyze --no-lowrank` or MCDFT_LOWRANK=0 restore the exact
-  /// fault-major path.  Only effective with cache_factorization and a
-  /// sparse-capable backend — see LowRankFaultSolvesEnabled().
-  bool lowrank_fault_updates = true;
-  /// When true (default), fault campaigns recover from per-cell solve
-  /// failures instead of aborting: an SMW failure retries on the exact
-  /// path, an exact failure or a non-finite probe value retries once with
-  /// a jittered (fully-pivoted) ordering and then a dense factorization,
-  /// and a cell that exhausts the ladder is quarantined (see
-  /// FrequencyResponse::quarantined).  On healthy circuits the ladder
-  /// never engages and results are bit-identical to `retry_ladder = false`,
-  /// which restores strict fail-fast behavior (first solve failure
-  /// throws).  Every ladder decision is a pure function of the cell's
-  /// inputs, preserving thread/shard determinism.
-  bool retry_ladder = true;
-  /// Fault-batch width of the frequency-major low-rank path: up to this
-  /// many faults at one frequency solve as one SoA-packed multi-RHS SMW
-  /// batch (SIMD complex kernels).  0 disables batching (per-fault SMW
-  /// solves).  Results are bit-identical at every width — batching only
-  /// changes throughput — so the campaign content hash folds in the on/off
-  /// gate, never the width.  `mcdft analyze --no-batch` or MCDFT_BATCH
-  /// override it (see EffectiveFaultBatch()).
-  std::size_t fault_batch = 32;
   /// When true, AC fault campaigns run an adjoint sensitivity screen ahead
   /// of the frequency-major fault loop: one SparseLu::SolveTranspose per
   /// (config, omega) yields first-order |dT/T| estimates for every
@@ -72,9 +44,7 @@ struct MnaOptions {
   /// decided.  Borderline cells, catastrophic faults, rank-declined stamps
   /// and RHS-touching faults always take the exact path, so coverage
   /// tables, omega tables and quarantine lists are bit-identical to the
-  /// unscreened run.  `mcdft analyze --no-screen` or MCDFT_SCREEN=0
-  /// disable it; only effective on top of LowRankFaultSolvesEnabled() —
-  /// see SensitivityScreenEnabled().
+  /// unscreened run.  `mcdft analyze --no-screen` disables it.
   bool sensitivity_screen = true;
   /// Relative guard band of the sensitivity screen: a cell is only skipped
   /// when its first-order estimate is at least this factor away from the
@@ -99,27 +69,9 @@ struct MnaOptions {
   SharedFactorCache* shared_factor_cache = nullptr;
 };
 
-/// Effective gate for the low-rank fault-solve path: the option is set,
-/// the factorization cache (which the nominal refactor chain rides on) is
-/// on, the backend can go sparse, and the MCDFT_LOWRANK environment
-/// variable (read once per process; "0" disables) does not veto it.
-bool LowRankFaultSolvesEnabled(const MnaOptions& options);
-
-/// Effective fault-batch width: `options.fault_batch` unless the
-/// MCDFT_BATCH environment variable (read once per process) overrides it —
-/// "0" disables batching, a positive integer replaces the width.
-std::size_t EffectiveFaultBatch(const MnaOptions& options);
-
-/// True when fault campaigns run the *batched* SMW path: a nonzero
-/// effective batch width on top of LowRankFaultSolvesEnabled().
-bool BatchedFaultSolvesEnabled(const MnaOptions& options);
-
-/// Effective gate for the adjoint sensitivity screen: the option is set,
-/// the low-rank path it prunes is enabled, and the MCDFT_SCREEN
-/// environment variable (read once per process; "0" disables) does not
-/// veto it.  Only AC sweeps on the sparse frequency-major path actually
-/// screen; the gate (plus screen_margin) folds into the campaign content
-/// hash exactly when it is effective.
+/// Gate of the adjoint sensitivity screen: `options.sensitivity_screen`.
+/// Only AC sweeps on the frequency-major fault path screen; the gate (plus
+/// screen_margin) folds into the campaign content hash exactly when set.
 bool SensitivityScreenEnabled(const MnaOptions& options);
 
 /// Solution of one MNA solve: node voltages + branch currents with
@@ -287,7 +239,7 @@ class AcStampProgram {
 };
 
 /// Reusable solve state for AC sweeps with an invariant sparsity pattern —
-/// the workhorse of envelope samples and fault-major campaigns.
+/// the workhorse of envelope samples and single-fault sweeps.
 ///
 /// Holds the cached CSR pattern of the stamp sequence, the sweep's compiled
 /// stamp program, and the sparse-LU factor whose pivot ordering is reused

@@ -41,6 +41,12 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
+/// Integer value of environment variable `name`, or `fallback` when it is
+/// unset or empty.  Any other value must pass CliArgs::GetInt's rule (a
+/// whole decimal integer that fits an int); otherwise throws util::Error
+/// naming the variable.
+int GetEnvInt(const char* name, int fallback);
+
 /// The one table of MCDFT_* environment escape hatches, formatted for a
 /// --help epilog.  Printed by both `mcdft` and `mcdftd` (and mirrored in
 /// README.md) so operators find every global override in one place.

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mcdft::util {
 
@@ -59,6 +60,40 @@ class OptimizationError : public Error {
  public:
   explicit OptimizationError(const std::string& what)
       : Error("optimization: " + what) {}
+};
+
+/// What went wrong, as a machine-checkable enum, for failures that recovery
+/// code branches on (the retry ladder treats both alike; tests tell them
+/// apart).  The names are the stable message prefixes.
+enum class ErrorCategory {
+  kSingularSystem,  ///< LU factorization hit a (near-)zero pivot
+  kInjected,        ///< fired by an armed util/faultpoint (tests, CI)
+};
+
+/// Stable name for a category (the message prefix).
+constexpr std::string_view ErrorCategoryName(ErrorCategory category) {
+  switch (category) {
+    case ErrorCategory::kSingularSystem: return "SingularSystem";
+    case ErrorCategory::kInjected: return "Injected";
+  }
+  return "Unknown";
+}
+
+/// Categorized failure: the message is "<category name>: <context>", where
+/// the context names the failing site (matrix step, faultpoint name, ...).
+class McdftError : public Error {
+ public:
+  McdftError(ErrorCategory category, const std::string& context)
+      : Error(std::string(ErrorCategoryName(category)) + ": " + context),
+        category_(category),
+        context_(context) {}
+
+  ErrorCategory Category() const noexcept { return category_; }
+  const std::string& Context() const noexcept { return context_; }
+
+ private:
+  ErrorCategory category_;
+  std::string context_;
 };
 
 }  // namespace mcdft::util

@@ -24,7 +24,7 @@
 //    inputs (matrix values, fault id, frequency).
 //
 // The caller decides what "fail" means — typically throwing
-// `core::McdftError(ErrorCategory::kInjected, ...)` or returning a short
+// `util::McdftError(ErrorCategory::kInjected, ...)` or returning a short
 // write.  Fired points bump the `util.faultpoint.fired` metrics counter.
 #pragma once
 

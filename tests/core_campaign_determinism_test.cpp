@@ -145,44 +145,39 @@ TEST(WholeUnitScheduling, OneSectionWhenConfigurationsCoverTheThreads) {
 }
 
 TEST(WholeUnitScheduling, RethrowsTheSerialLoopsFirstFailure) {
-  // Fail-fast (no retry ladder) on a biquad with an unrepresentable fault:
-  // a sense resistor RQ whose deviation overflows to infinity.  Every
-  // well-formed unit then fails late, in simulation, after its envelope;
-  // a configuration of the wrong width fails at once, naming its width.
-  // With the wrong-width configuration right after the first unit, it
-  // fails first in time, yet the first unit — claimed earlier, so run to
-  // its end — fails too, and its lower index wins: the error the serial
-  // loop throws.
-  auto block = circuits::FindInZoo("biquad").build();
-  block.netlist.AddResistor("RQ", block.output_node, "qx", 1e200);
-  const DftCircuit circuit = DftCircuit::Transform(block);
-  auto fault_list = faults::MakeDeviationFaults(circuit.Circuit());
-  fault_list.emplace_back("RQ", faults::FaultKind::kDeviationUp, 1e150);
+  // Two configurations of the wrong width, at indices 1 and 3: each fails
+  // at once, naming its width.  With whole units per worker both can be
+  // in flight together and either may fail first in time, yet the lower
+  // index wins — the error the serial loop throws.
+  const DftCircuit circuit =
+      DftCircuit::Transform(circuits::FindInZoo("biquad").build());
+  const auto fault_list = faults::MakeDeviationFaults(circuit.Circuit());
   const std::size_t width = circuit.ConfigurableOpamps().size();
   std::vector<ConfigVector> configs = SmallConfigSet(circuit);
   configs.insert(configs.begin() + 1, ConfigVector(width + 2));
   configs.insert(configs.begin() + 3, ConfigVector(width + 1));
 
   const auto error = [&](std::size_t threads) {
-    CampaignOptions options = FastOptions(threads);
-    options.mna.retry_ladder = false;
     try {
-      RunCampaign(circuit, fault_list, configs, options);
+      RunCampaign(circuit, fault_list, configs, FastOptions(threads));
     } catch (const util::Error& e) {
       return std::string(e.what());
     }
     return std::string();
   };
   const std::string serial = error(1);
-  ASSERT_NE(serial.find("RQ"), std::string::npos) << serial;
+  ASSERT_NE(serial.find(std::to_string(width + 2) + " bits"),
+            std::string::npos)
+      << serial;
   for (std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{4},
                               configs.size()}) {
     EXPECT_EQ(error(threads), serial) << threads << " threads";
   }
 
-  // No unit is claimed after a failure: at 2 threads the wrong-width unit
-  // fails while the first is still running, so far fewer unit boundaries
-  // (counted by the never-firing stall faultpoint) than units are passed.
+  // No unit is claimed after a failure: at 2 threads the first wrong-width
+  // unit fails while the first unit is still running, so far fewer unit
+  // boundaries (counted by the never-firing stall faultpoint) than units
+  // are passed.
   util::faultpoint::Arm("campaign.unit.stall", 0.0, 1);
   error(2);
   EXPECT_LT(util::faultpoint::StatsOf("campaign.unit.stall").evaluations,

@@ -217,8 +217,8 @@ TEST_F(Resilience, QuarantineSurvivesCheckpointRoundTripAndMerge) {
 
 // The shard-merge and quarantine contracts hold on every solve path: the
 // poisoned campaign quarantines the same cells and merges bit-identical to
-// the monolithic run at 1, 2 and 4 shards, with low-rank solves on or off
-// (the fault-major path) and on AC as on transient.
+// the monolithic run at 1, 2 and 4 shards, with the sensitivity screen on
+// or off and on AC as on transient.
 TEST_F(Resilience, ShardContractHoldsOnEverySolvePath) {
   const Prepared p = PreparePoisonedBiquad();
   for (const CampaignAnalysis analysis :
@@ -227,13 +227,13 @@ TEST_F(Resilience, ShardContractHoldsOnEverySolvePath) {
     // or x 32 time steps (transient).
     const std::size_t expected_quarantined =
         analysis == CampaignAnalysis::kAc ? 147 : 224;
-    for (const bool lowrank : {true, false}) {
+    for (const bool screen : {true, false}) {
       CampaignOptions options = FastOptions();
       options.analysis = analysis;
       options.transient_steps = 32;
-      options.mna.lowrank_fault_updates = lowrank;
+      options.mna.sensitivity_screen = screen;
       const std::string what = std::string(CampaignAnalysisName(analysis)) +
-                               (lowrank ? " low-rank" : " fault-major");
+                               (screen ? " screened" : " unscreened");
 
       const CampaignResult monolithic =
           RunCampaign(p.circuit, p.fault_list, p.configs, options);
@@ -244,7 +244,7 @@ TEST_F(Resilience, ShardContractHoldsOnEverySolvePath) {
            {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         const fs::path ck =
             dir_ / (std::string(CampaignAnalysisName(analysis)) +
-                    (lowrank ? "_lowrank_" : "_exact_") +
+                    (screen ? "_screened_" : "_unscreened_") +
                     std::to_string(count));
         std::vector<std::string> paths;
         for (std::size_t index = 0; index < count; ++index) {

@@ -157,39 +157,6 @@ TEST_F(ShardMerge, Cascade6MergedShardsBitIdenticalToMonolithic) {
   CheckMergeMatchesMonolithic(dir_, "cascade6");
 }
 
-TEST_F(ShardMerge, MixedBatchWidthShardsMergeBitIdenticalToUnbatched) {
-  // Batched SMW fault solves are bit-identical at every batch width, and
-  // the campaign content hash folds only the on/off gate — so shards run
-  // at *different* widths must merge, and the merged campaign must equal
-  // an unbatched monolithic run byte for byte.
-  const Prepared p = PrepareCircuit("biquad");
-  CampaignOptions unbatched = FastOptions();
-  unbatched.mna.fault_batch = 0;
-  const CampaignResult monolithic =
-      RunCampaign(p.circuit, p.fault_list, p.configs, unbatched);
-
-  constexpr std::size_t kWidths[] = {1, 32, 4, 8};
-  for (std::size_t count : {std::size_t{2}, std::size_t{4}}) {
-    const fs::path ck = dir_ / ("mixed_batch_" + std::to_string(count));
-    std::vector<std::string> paths;
-    for (std::size_t index = 0; index < count; ++index) {
-      CampaignOptions options = FastOptions();
-      options.mna.fault_batch = kWidths[index];
-      ShardRunOptions shard_options;
-      shard_options.shard = ShardSpec{index, count};
-      shard_options.checkpoint_dir = ck.string();
-      const ShardRunResult run = RunCampaignShard(
-          p.circuit, p.fault_list, p.configs, options, shard_options);
-      EXPECT_TRUE(run.complete);
-      paths.push_back(run.shard_path);
-    }
-    const MergedCampaign merged = MergeShards(paths);
-    ExpectBitIdentical(monolithic, merged.campaign,
-                       "mixed batch widths @" + std::to_string(count) +
-                           " shards");
-  }
-}
-
 TEST_F(ShardMerge, KilledAndResumedShardWritesIdenticalBytes) {
   const Prepared p = PrepareCircuit("biquad");
   const CampaignOptions options = FastOptions();

@@ -138,49 +138,11 @@ TEST_F(ShardContentHash, StableAcrossCallsAndThreadCounts) {
   threaded.threads = 8;
   EXPECT_EQ(Hash(threaded), base);
 
-  // The factorization cache alone does not change numbers — but it gates
-  // the low-rank fault path (which does, at rounding level), so only the
-  // *effective* solve path is hashed.  With low-rank requested (the
-  // default), turning the cache off switches to the exact fault-major path
-  // and the hash must change with it ...
-  CampaignOptions cached = options_;
-  cached.mna.cache_factorization = false;
-  EXPECT_NE(Hash(cached), base);
-
-  // ... and every option combination resolving to the exact path hashes
-  // alike: lowrank off, or lowrank requested but uncached.
-  CampaignOptions no_lowrank = options_;
-  no_lowrank.mna.lowrank_fault_updates = false;
-  const std::string exact = Hash(no_lowrank);
-  EXPECT_NE(exact, base);
-  EXPECT_EQ(Hash(cached), exact);
-  no_lowrank.mna.cache_factorization = false;
-  EXPECT_EQ(Hash(no_lowrank), exact);
-}
-
-TEST_F(ShardContentHash, BatchGateHashesOnOffButNeverWidth) {
-  // Batched SMW solves are bit-identical at every width, so checkpoints
-  // from different widths must merge — only the on/off gate is hashed.
-  const std::string base = Hash(options_);  // default width 32, batched
-
-  CampaignOptions narrow = options_;
-  narrow.mna.fault_batch = 1;
-  EXPECT_EQ(Hash(narrow), base);
-  CampaignOptions wide = options_;
-  wide.mna.fault_batch = 128;
-  EXPECT_EQ(Hash(wide), base);
-
-  CampaignOptions off = options_;
-  off.mna.fault_batch = 0;
-  EXPECT_NE(Hash(off), base);
-
-  // With the low-rank path off the batch width is moot either way: every
-  // combination resolves to the exact fault-major path and hashes alike.
-  CampaignOptions exact = options_;
-  exact.mna.lowrank_fault_updates = false;
-  CampaignOptions exact_nobatch = exact;
-  exact_nobatch.mna.fault_batch = 0;
-  EXPECT_EQ(Hash(exact), Hash(exact_nobatch));
+  // The factorization cache does not change numbers, and the AC fault
+  // path no longer depends on it, so it is not hashed.
+  CampaignOptions uncached = options_;
+  uncached.mna.cache_factorization = false;
+  EXPECT_EQ(Hash(uncached), base);
 }
 
 TEST_F(ShardContentHash, ScreenGateHashesOnOffAndMargin) {
@@ -204,14 +166,6 @@ TEST_F(ShardContentHash, ScreenGateHashesOnOffAndMargin) {
   CampaignOptions off_wide = off;
   off_wide.mna.screen_margin = 4.0;
   EXPECT_EQ(Hash(off_wide), unscreened);
-
-  // The screen rides the low-rank fault path; on the exact path the gate
-  // never engages, so it must not fragment the exact hash class either.
-  CampaignOptions exact = options_;
-  exact.mna.lowrank_fault_updates = false;
-  CampaignOptions exact_noscreen = exact;
-  exact_noscreen.mna.sensitivity_screen = false;
-  EXPECT_EQ(Hash(exact), Hash(exact_noscreen));
 
   // Transient campaigns have no AC screen: the gate is not hashed there.
   CampaignOptions transient = options_;

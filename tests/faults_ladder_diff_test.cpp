@@ -1,11 +1,14 @@
-// Differential test for the retry ladder (ISSUE 5 satellite): on healthy
-// circuits the resilience machinery must be a strict no-op — bit-identical
-// responses with `retry_ladder` on and off, zero retries, zero quarantined
-// points.  Sweeps the whole circuit zoo under a grid of component-value
-// scalings (~100 circuit variants), so the claim is not an artifact of one
-// lucky operating point.
+// Differential test for the retry ladder: on healthy circuits the
+// resilience machinery of the campaign path (FaultSimulator::SimulateRange)
+// must be a strict no-op — zero retries, zero quarantined points, and
+// responses that agree with the fail-fast fault-major sweeps
+// (SimulateNominal / SimulateFault) to solver roundoff.  Sweeps the whole
+// circuit zoo under a grid of component-value scalings (~100 circuit
+// variants), so the claim is not an artifact of one lucky operating point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -62,34 +65,29 @@ TEST(LadderDifferential, LadderIsANoOpOnHealthyCircuits) {
       spice::Netlist work = block.netlist.Clone();
       probe.plus = work.FindNode(block.output_node);
 
-      spice::MnaOptions with_ladder;
-      with_ladder.retry_ladder = true;
-      spice::MnaOptions without_ladder;
-      without_ladder.retry_ladder = false;
-
       const std::uint64_t retries_before = retries.Value();
       const std::uint64_t quarantined_before = quarantined.Value();
 
-      const FaultSimulator on(work, sweep, probe, with_ladder);
+      const FaultSimulator simulator(work, sweep, probe);
       const std::vector<spice::FrequencyResponse> a =
-          on.SimulateRange(fault_list, 0, fault_list.size(), 2);
-      const FaultSimulator off(work, sweep, probe, without_ladder);
-      const std::vector<spice::FrequencyResponse> b =
-          off.SimulateRange(fault_list, 0, fault_list.size(), 2);
+          simulator.SimulateRange(fault_list, 0, fault_list.size(), 2);
+      std::vector<spice::FrequencyResponse> b{simulator.SimulateNominal()};
+      for (const Fault& f : fault_list) b.push_back(simulator.SimulateFault(f));
 
       // The ladder never engaged and nothing was quarantined.
       EXPECT_EQ(retries.Value(), retries_before) << what;
       EXPECT_EQ(quarantined.Value(), quarantined_before) << what;
 
-      // Bit-identical responses, point by point.
+      // The same responses, point by point, to solver roundoff (the SMW
+      // update and a fresh factorization round differently).
       ASSERT_EQ(a.size(), b.size()) << what;
       for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].label, b[i].label) << what;
         EXPECT_EQ(a[i].QuarantinedCount(), 0u) << what << " row " << i;
-        EXPECT_EQ(b[i].QuarantinedCount(), 0u) << what << " row " << i;
         ASSERT_EQ(a[i].values.size(), b[i].values.size()) << what;
         for (std::size_t p = 0; p < a[i].values.size(); ++p) {
-          EXPECT_EQ(a[i].values[p], b[i].values[p])
+          EXPECT_LT(std::abs(a[i].values[p] - b[i].values[p]),
+                    1e-9 * std::max(1.0, std::abs(b[i].values[p])))
               << what << " row " << i << " point " << p;
         }
       }

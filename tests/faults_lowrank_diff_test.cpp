@@ -5,8 +5,9 @@
 // faulty solution to solver roundoff on *arbitrary* circuits, not just the
 // zoo: ~200 randomized RC/RLC ladders, each with a random single-element
 // fault, are solved both ways and compared point-wise.  A second test pins
-// the end-to-end equivalence of FaultSimulator::SimulateRange between the
-// frequency-major SMW engine and the classic fault-major sweeps.
+// the end-to-end equivalence of FaultSimulator::SimulateRange (the
+// frequency-major SMW engine) and the fail-fast fault-major sweeps of
+// SimulateNominal / SimulateFault.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,9 +23,20 @@
 #include "linalg/sparse_lu.hpp"
 #include "spice/mna.hpp"
 #include "spice/netlist.hpp"
+#include "util/faultpoint.hpp"
+#include "util/metrics.hpp"
 
 namespace mcdft {
 namespace {
+
+// Both tests compare undisturbed solves, so they opt out of any armed
+// MCDFT_FAULTPOINTS spec (an injected SMW failure would turn an update
+// into an exact solve, or a thrown error).
+class LowRankFaultDiff : public ::testing::Test {
+ protected:
+  void SetUp() override { util::faultpoint::DisarmAll(); }
+  void TearDown() override { util::faultpoint::DisarmAll(); }
+};
 
 using linalg::Complex;
 using linalg::CsrMatrix;
@@ -117,7 +129,7 @@ faults::Fault RandomFault(std::mt19937_64& rng, const std::string& device) {
   }
 }
 
-TEST(LowRankFaultDiff, SmwMatchesExactSolveOnRandomCircuits) {
+TEST_F(LowRankFaultDiff, SmwMatchesExactSolveOnRandomCircuits) {
   constexpr std::size_t kCases = 200;
   std::size_t smw_solves = 0;
   for (std::size_t seed = 0; seed < kCases; ++seed) {
@@ -163,30 +175,39 @@ TEST(LowRankFaultDiff, SmwMatchesExactSolveOnRandomCircuits) {
   EXPECT_EQ(smw_solves, kCases);
 }
 
-TEST(LowRankFaultDiff, SimulateRangeMatchesLegacyFaultMajorSweeps) {
-  // End-to-end: the frequency-major SMW engine must agree with the classic
-  // per-fault sweeps on a real circuit, fault label by fault label.
+TEST_F(LowRankFaultDiff, SimulateRangeMatchesLegacyFaultMajorSweeps) {
+  // End-to-end: the frequency-major SMW engine must agree with the
+  // per-fault sweeps on a real circuit, fault label by fault label,
+  // without a single retry or quarantined point.
   auto block = circuits::FindInZoo("biquad").build();
   auto faults_list = faults::MakeDeviationFaults(block.netlist);
   ASSERT_GT(faults_list.size(), 4u);
   spice::Probe probe{block.netlist.FindNode(block.output_node), spice::kGround,
                      "v(" + block.output_node + ")"};
   auto sweep = spice::SweepSpec::Decade(10.0, 1e5, 8);
+  const util::metrics::ScopedEnable metrics_on;
+  util::metrics::Counter& retries =
+      util::metrics::GetCounter("faults.sim.retries");
+  util::metrics::Counter& quarantined =
+      util::metrics::GetCounter("faults.sim.quarantined");
+  const std::uint64_t retries_before = retries.Value();
+  const std::uint64_t quarantined_before = quarantined.Value();
 
-  spice::MnaOptions lowrank_options;
-  faults::FaultSimulator fast(block.netlist, sweep, probe, lowrank_options);
-  const auto via_smw = fast.SimulateRange(faults_list, 0, faults_list.size(), 1);
-
-  spice::MnaOptions exact_options;
-  exact_options.lowrank_fault_updates = false;
-  faults::FaultSimulator slow(block.netlist, sweep, probe, exact_options);
-  const auto via_exact =
-      slow.SimulateRange(faults_list, 0, faults_list.size(), 1);
+  faults::FaultSimulator simulator(block.netlist, sweep, probe);
+  const auto via_smw =
+      simulator.SimulateRange(faults_list, 0, faults_list.size(), 1);
+  std::vector<spice::FrequencyResponse> via_exact{simulator.SimulateNominal()};
+  for (const faults::Fault& f : faults_list) {
+    via_exact.push_back(simulator.SimulateFault(f));
+  }
+  EXPECT_EQ(retries.Value(), retries_before);
+  EXPECT_EQ(quarantined.Value(), quarantined_before);
 
   ASSERT_EQ(via_smw.size(), via_exact.size());
   ASSERT_EQ(via_smw.size(), faults_list.size() + 1);
   for (std::size_t r = 0; r < via_smw.size(); ++r) {
     EXPECT_EQ(via_smw[r].label, via_exact[r].label);
+    EXPECT_EQ(via_smw[r].QuarantinedCount(), 0u);
     ASSERT_EQ(via_smw[r].PointCount(), via_exact[r].PointCount());
     for (std::size_t t = 0; t < via_smw[r].PointCount(); ++t) {
       EXPECT_LT(std::abs(via_smw[r].values[t] - via_exact[r].values[t]),

@@ -119,22 +119,23 @@ void ExpectVerdictsIdentical(const CampaignResult& a, const CampaignResult& b,
 // --- Gate semantics ----------------------------------------------------
 
 TEST(SensitivityScreenGate, RequiresScreenOptionAndLowRankPath) {
-  spice::MnaOptions options;  // defaults: lowrank + cache + screen on
-  // The suite never arms MCDFT_SCREEN, so only the options gate varies.
+  spice::MnaOptions options;  // default: screen on
   EXPECT_TRUE(spice::SensitivityScreenEnabled(options));
 
   spice::MnaOptions off = options;
   off.sensitivity_screen = false;
   EXPECT_FALSE(spice::SensitivityScreenEnabled(off));
 
-  // No low-rank fault path, no adjoint screen: the exact fault-major
-  // sweeps have no nominal factorization to transpose-solve against.
-  spice::MnaOptions no_lowrank = options;
-  no_lowrank.lowrank_fault_updates = false;
-  EXPECT_FALSE(spice::SensitivityScreenEnabled(no_lowrank));
+  // The low-rank path is the only AC fault path: it always binds a sparse
+  // nominal factorization for the adjoint to transpose-solve against,
+  // whatever the factorization cache or backend options say, so only the
+  // option gates the screen.
   spice::MnaOptions no_cache = options;
   no_cache.cache_factorization = false;
-  EXPECT_FALSE(spice::SensitivityScreenEnabled(no_cache));
+  EXPECT_TRUE(spice::SensitivityScreenEnabled(no_cache));
+  spice::MnaOptions dense = options;
+  dense.backend = spice::SolverBackend::kDense;
+  EXPECT_TRUE(spice::SensitivityScreenEnabled(dense));
 }
 
 TEST(SensitivityScreenGate, ScreenableKindsAreSoftDeviationsOnly) {

@@ -11,10 +11,23 @@
 #include "linalg/lu.hpp"
 #include "linalg/sparse_lu.hpp"
 #include "util/error.hpp"
+#include "util/faultpoint.hpp"
 #include "util/metrics.hpp"
 
 namespace mcdft::linalg {
 namespace {
+
+// The solver under test; the fixture below takes its name for the suite.
+using Solver = ::mcdft::linalg::LowRankUpdateSolver;
+
+// Every case solves through the `smw.solve` faultpoint, and an injected
+// failure would throw out of Solve(): opt out of any armed
+// MCDFT_FAULTPOINTS spec.
+class LowRankUpdateSolver : public ::testing::Test {
+ protected:
+  void SetUp() override { util::faultpoint::DisarmAll(); }
+  void TearDown() override { util::faultpoint::DisarmAll(); }
+};
 
 Vector RandomVector(std::mt19937_64& rng, std::size_t n) {
   std::uniform_real_distribution<double> u(-1.0, 1.0);
@@ -58,7 +71,7 @@ double MaxRelativeError(const Vector& x, const Vector& y) {
   return err;
 }
 
-TEST(LowRankUpdateSolver, MatchesDirectSolveAcrossRandomRanks) {
+TEST_F(LowRankUpdateSolver, MatchesDirectSolveAcrossRandomRanks) {
   constexpr std::size_t kCases = 50;
   for (std::size_t seed = 0; seed < kCases; ++seed) {
     std::mt19937_64 rng(0x10A11 ^ seed);
@@ -66,10 +79,10 @@ TEST(LowRankUpdateSolver, MatchesDirectSolveAcrossRandomRanks) {
     const TripletMatrix a = RandomSystem(rng, n);
     const Vector b = RandomVector(rng, n);
     SparseLu lu{CsrMatrix(a)};
-    LowRankUpdateSolver solver;
+    Solver solver;
     solver.Bind(lu, b);
 
-    const std::size_t rank = 1 + seed % LowRankUpdateSolver::kMaxRank;
+    const std::size_t rank = 1 + seed % Solver::kMaxRank;
     LowRankPerturbation delta;
     std::uniform_int_distribution<std::size_t> pick(0, n - 1);
     std::uniform_real_distribution<double> u(-1.0, 1.0);
@@ -91,27 +104,27 @@ TEST(LowRankUpdateSolver, MatchesDirectSolveAcrossRandomRanks) {
   }
 }
 
-TEST(LowRankUpdateSolver, RankZeroReturnsNominalSolution) {
+TEST_F(LowRankUpdateSolver, RankZeroReturnsNominalSolution) {
   std::mt19937_64 rng(42);
   const TripletMatrix a = RandomSystem(rng, 6);
   const Vector b = RandomVector(rng, 6);
   SparseLu lu{CsrMatrix(a)};
-  LowRankUpdateSolver solver;
+  Solver solver;
   solver.Bind(lu, b);
   const std::optional<Vector> x = solver.Solve(LowRankPerturbation{});
   ASSERT_TRUE(x.has_value());
   EXPECT_LT(MaxRelativeError(*x, solver.NominalSolution()), 1e-15);
 }
 
-TEST(LowRankUpdateSolver, RankAboveCapFallsBack) {
+TEST_F(LowRankUpdateSolver, RankAboveCapFallsBack) {
   std::mt19937_64 rng(7);
   const TripletMatrix a = RandomSystem(rng, 8);
   const Vector b = RandomVector(rng, 8);
   SparseLu lu{CsrMatrix(a)};
-  LowRankUpdateSolver solver;
+  Solver solver;
   solver.Bind(lu, b);
   LowRankPerturbation delta;
-  for (std::size_t t = 0; t <= LowRankUpdateSolver::kMaxRank; ++t) {
+  for (std::size_t t = 0; t <= Solver::kMaxRank; ++t) {
     LowRankTerm term;
     term.u.emplace_back(t, Complex(1.0, 0.0));
     term.w.emplace_back(t, Complex(1.0, 0.0));
@@ -120,12 +133,12 @@ TEST(LowRankUpdateSolver, RankAboveCapFallsBack) {
   EXPECT_FALSE(solver.Solve(delta).has_value());
 }
 
-TEST(LowRankUpdateSolver, SolveBeforeBindThrows) {
-  LowRankUpdateSolver solver;
+TEST_F(LowRankUpdateSolver, SolveBeforeBindThrows) {
+  Solver solver;
   EXPECT_THROW(solver.Solve(LowRankPerturbation{}), util::NumericError);
 }
 
-TEST(LowRankUpdateSolver, SingularUpdateTakesFallbackAndBumpsCounter) {
+TEST_F(LowRankUpdateSolver, SingularUpdateTakesFallbackAndBumpsCounter) {
   // Crafted near-singular case: A = I, Delta = -e0 e0^T zeroes the first
   // pivot of A + Delta exactly, so the SMW capacitance matrix is
   // C = 1 + w^T A^{-1} u = 0.  The conditioning guard must refuse the
@@ -138,7 +151,7 @@ TEST(LowRankUpdateSolver, SingularUpdateTakesFallbackAndBumpsCounter) {
   b[0] = Complex(1.0, 0.0);
   b[1] = Complex(2.0, 0.0);
   SparseLu lu{CsrMatrix(a)};
-  LowRankUpdateSolver solver;
+  Solver solver;
   solver.Bind(lu, b);
 
   LowRankPerturbation delta;

@@ -4,7 +4,7 @@
 
 #include <random>
 
-#include "core/error.hpp"
+#include "util/error.hpp"
 #include "linalg/lu.hpp"
 
 namespace mcdft::linalg {
@@ -56,15 +56,15 @@ TEST(SparseLu, SingularThrowsCategorizedError) {
   try {
     SparseLu lu{CsrMatrix(t)};
     FAIL() << "singular factorization did not throw";
-  } catch (const core::McdftError& e) {
-    EXPECT_EQ(e.Category(), core::ErrorCategory::kSingularSystem);
+  } catch (const util::McdftError& e) {
+    EXPECT_EQ(e.Category(), util::ErrorCategory::kSingularSystem);
   }
 }
 
 TEST(SparseLu, StructurallySingularThrows) {
   TripletMatrix t(2, 2);
   t.Add(0, 0, Complex(1, 0));  // row/col 1 empty
-  EXPECT_THROW(SparseLu{CsrMatrix(t)}, core::McdftError);
+  EXPECT_THROW(SparseLu{CsrMatrix(t)}, util::McdftError);
 }
 
 TEST(SparseLu, PermutedIdentity) {

@@ -199,7 +199,7 @@ TEST(ServerDaemon, SubmitColdThenWarmReturnsByteEqualReports) {
   ASSERT_FALSE(cold_report.empty());
   // The report member round-trips as the exact bytes of a run report.
   EXPECT_EQ(json::Parse(cold_report).Get("schema").AsString(),
-            "mcdft.run_report/7");
+            "mcdft.run_report/8");
 
   // Warm hit from a *different* connection: the cache is service-wide.
   std::unique_ptr<util::Conn> conn2 = util::ConnectUnix(socket_path);
@@ -364,6 +364,40 @@ TEST(ServerDaemon, CliRejectsOutOfRangeRequestFields) {
     const std::string message = ReadBytes(err);
     EXPECT_NE(message.find(c.field), std::string::npos)
         << c.flags << ": " << message;
+  }
+  fs::remove_all(dir);
+}
+
+// Integer environment variables obey the flag rule: a value that is not a
+// whole decimal int stops the binary the way a bad flag does (mcdftd exits
+// 2, mcdft exits 1) with a message naming the variable, instead of
+// silently reading as 0 (timeouts off, no deadline).  `timeout` bounds the
+// daemon runs: a daemon that accepted the value would serve forever.
+TEST(ServerDaemon, MalformedEnvIntegersFailLikeBadFlags) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mcdft_env_int_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string sock = (dir / "d.sock").string();
+  const std::string err = (dir / "stderr.txt").string();
+  for (const char* value : {"abc", "12x", "-", "99999999999"}) {
+    const std::string env = std::string("'") + value + "' ";
+    EXPECT_EQ(RunCmd("MCDFT_IO_TIMEOUT_MS=" + env + "timeout 20 " +
+                     MCDFT_MCDFTD_BIN + " --socket " + sock +
+                     " > /dev/null 2> " + err),
+              2)
+        << value;
+    EXPECT_NE(ReadBytes(err).find("MCDFT_IO_TIMEOUT_MS"), std::string::npos)
+        << value << ": " << ReadBytes(err);
+    EXPECT_FALSE(fs::exists(sock)) << value;
+
+    EXPECT_EQ(RunCmd("MCDFT_DEADLINE_MS=" + env + MCDFT_CLI_BIN +
+                     " submit --socket " + sock +
+                     " --circuit biquad > /dev/null 2> " + err),
+              1)
+        << value;
+    EXPECT_NE(ReadBytes(err).find("MCDFT_DEADLINE_MS"), std::string::npos)
+        << value << ": " << ReadBytes(err);
   }
   fs::remove_all(dir);
 }

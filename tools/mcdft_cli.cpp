@@ -33,18 +33,11 @@
 //   --t-end SECONDS            transient window (default 0 = auto 8/f0)
 //   --steps N                  transient step count (default 256)
 //   --preselect                run the sensitivity screen first
-//   --no-lowrank               disable the frequency-major low-rank (SMW)
-//                              AC fault solves; classic fault-major sweeps
-//                              (MCDFT_LOWRANK=0 does the same globally).
-//                              AC only: transient campaigns always
-//                              re-march every fault exactly
-//   --no-batch                 disable batched (multi-RHS SIMD) SMW fault
-//                              solves, keeping per-fault low-rank updates
-//                              (MCDFT_BATCH=0 does the same globally)
 //   --no-screen                disable the adjoint sensitivity screen that
 //                              skips clearly-(un)detected (fault, omega)
-//                              cells; results are bit-identical either way
-//                              (MCDFT_SCREEN=0 does the same globally)
+//                              cells; results are meant to be identical
+//                              either way (not on leapfrog: see DESIGN.md
+//                              "Adjoint sensitivity screen")
 //   --screen-margin X          screen guard band (>= 1, default 8): only
 //                              cells whose first-order estimate clears the
 //                              threshold by X in either direction are
@@ -130,8 +123,6 @@ core::server::CampaignRequest RequestFromArgs(const util::CliArgs& args) {
   r.samples = args.GetInt("samples", r.samples);
   r.ppd = args.GetInt("ppd", r.ppd);
   r.max_followers = args.GetInt("max-followers", r.max_followers);
-  r.lowrank = !args.Has("no-lowrank");
-  r.batch = !args.Has("no-batch");
   r.screen = !args.Has("no-screen");
   r.screen_margin = args.GetDouble("screen-margin", r.screen_margin);
   r.analysis = args.GetString("analysis", r.analysis);
@@ -509,8 +500,7 @@ int CmdSubmit(const util::CliArgs& args) {
                  "         [--samples N] [--ppd N] [--max-followers K]\n"
                  "         [--analysis ac|transient] [--faults UNIVERSE]\n"
                  "         [--t-end SECONDS] [--steps N]\n"
-                 "         [--no-lowrank] [--no-batch] [--no-screen]\n"
-                 "         [--screen-margin X] [--threads N]\n"
+                 "         [--no-screen] [--screen-margin X] [--threads N]\n"
                  "         [--priority N] [--extra-fault DEV:KIND:MAG,...]\n"
                  "         [--deadline-ms N] [--retries N] [--request-id ID]\n"
                  "         [--report FILE]\n"
@@ -521,11 +511,8 @@ int CmdSubmit(const util::CliArgs& args) {
   }
 
   // End-to-end budget: flag wins, then MCDFT_DEADLINE_MS, then unlimited.
-  std::int64_t deadline_ms = 0;
-  if (const char* env = std::getenv("MCDFT_DEADLINE_MS")) {
-    deadline_ms = std::atoll(env);
-  }
-  deadline_ms = args.GetInt("deadline-ms", static_cast<int>(deadline_ms));
+  std::int64_t deadline_ms =
+      args.GetInt("deadline-ms", util::GetEnvInt("MCDFT_DEADLINE_MS", 0));
   if (deadline_ms < 0) deadline_ms = 0;
   const auto overall_deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
@@ -688,8 +675,7 @@ void PrintUsage() {
       "             [--samples N] [--ppd N] [--max-followers K] [--preselect]\n"
       "             [--analysis ac|transient] [--faults deviation|\n"
       "              catastrophic|both] [--t-end SECONDS] [--steps N]\n"
-      "             [--no-lowrank (AC only)] [--no-batch] [--no-screen]\n"
-      "             [--screen-margin X] [--report FILE]\n"
+      "             [--no-screen] [--screen-margin X] [--report FILE]\n"
       "             [analyze: --shard i/N --checkpoint DIR]\n"
       "             [merge: --checkpoint DIR]\n"
       "             [plan: --sopt --magnitude-only --exact]\n"

@@ -18,7 +18,6 @@
 // Exit codes: 0 = clean shutdown, 2 = usage/bind error.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -67,16 +66,14 @@ int main(int argc, char** argv) {
     options.drain_budget_ms = args.GetInt("drain-ms", 5'000);
     // Per-connection I/O budget (read + write); MCDFT_IO_TIMEOUT_MS wins
     // over --io-timeout-ms, 0 disables the timeouts.
-    daemon_options.io_timeout_ms = args.GetInt("io-timeout-ms", 30'000);
+    daemon_options.io_timeout_ms = util::GetEnvInt(
+        "MCDFT_IO_TIMEOUT_MS", args.GetInt("io-timeout-ms", 30'000));
     tcp_port = args.GetInt("tcp", 0);
   } catch (const util::Error& e) {
     std::fprintf(stderr, "mcdftd: %s\n", e.what());
     return 2;
   }
   daemon_options.service = options;
-  if (const char* env = std::getenv("MCDFT_IO_TIMEOUT_MS")) {
-    daemon_options.io_timeout_ms = std::atoi(env);
-  }
 
   // Dead clients must not kill the daemon mid-write; socket sends also pass
   // MSG_NOSIGNAL, this covers any platform without it.
