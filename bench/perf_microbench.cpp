@@ -18,7 +18,6 @@
 #include "core/campaign.hpp"
 #include "faults/injector.hpp"
 #include "faults/sensitivity_screen.hpp"
-#include "faults/simulator.hpp"
 #include "faults/stamp_delta.hpp"
 #include "linalg/lowrank.hpp"
 #include "linalg/lu.hpp"
@@ -106,18 +105,6 @@ void BM_BiquadAcSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_BiquadAcSweep)->Arg(10)->Arg(50);
 
-void BM_FaultSimulationCampaign(benchmark::State& state) {
-  auto block = circuits::BuildBiquad();
-  auto faults_list = faults::MakeDeviationFaults(block.netlist);
-  faults::FaultSimulator sim(
-      block.netlist, spice::SweepSpec::Decade(10.0, 1e5, 25),
-      spice::Probe{block.netlist.FindNode("out3"), spice::kGround, "v"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.Run(faults_list));
-  }
-}
-BENCHMARK(BM_FaultSimulationCampaign);
-
 void BM_ToleranceEnvelope(benchmark::State& state) {
   auto block = circuits::BuildBiquad();
   auto faults_list = faults::MakeDeviationFaults(block.netlist);
@@ -148,18 +135,15 @@ void BM_FullBiquadCampaign(benchmark::State& state) {
 }
 BENCHMARK(BM_FullBiquadCampaign);
 
+// One generic assemble + fresh factorization (dense at this size).
 void BM_Cascade6AcPoint(benchmark::State& state) {
   auto block = circuits::BuildCascade6();
-  spice::MnaOptions options;
-  options.backend = state.range(0) == 0 ? spice::SolverBackend::kDense
-                                        : spice::SolverBackend::kSparse;
-  spice::MnaSystem system(block.netlist, options);
+  spice::MnaSystem system(block.netlist);
   for (auto _ : state) {
     benchmark::DoNotOptimize(system.SolveAcHz(1234.5));
   }
-  state.SetLabel(state.range(0) == 0 ? "dense" : "sparse");
 }
-BENCHMARK(BM_Cascade6AcPoint)->Arg(0)->Arg(1);
+BENCHMARK(BM_Cascade6AcPoint);
 
 // One envelope-sample sweep: a 201-point AcAnalyzer::Run (4 decades at 50
 // points/decade, the campaign grid) on a full-space cascade6 configuration
@@ -300,7 +284,7 @@ void BM_SensitivityScreen(benchmark::State& state) {
                                        scratch, delta);
       const faults::ScreenDecision decision = faults::ScreenCell(
           nominal, faults::FirstOrderProbeDelta(delta, lambda, x0), denom,
-          0.08, 8.0);
+          0.08, faults::kScreenMargin);
       if (decision.skip) ++skipped;
       benchmark::DoNotOptimize(decision);
     }

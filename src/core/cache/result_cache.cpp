@@ -1,11 +1,11 @@
 #include "core/cache/result_cache.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
 
 #include "core/checkpoint.hpp"
+#include "util/cli.hpp"
 #include "util/faultpoint.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
@@ -17,12 +17,8 @@ namespace metrics = util::metrics;
 namespace faultpoint = util::faultpoint;
 
 std::size_t CacheCapacityFromEnv(std::size_t fallback_mb) {
-  const char* env = std::getenv("MCDFT_CACHE_MB");
-  if (env == nullptr || *env == '\0') return fallback_mb << 20;
-  char* end = nullptr;
-  const long mb = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || mb < 0) return fallback_mb << 20;
-  return static_cast<std::size_t>(mb) << 20;
+  const int mb = util::GetEnvInt("MCDFT_CACHE_MB", -1, 0);  // -1: unset
+  return (mb < 0 ? fallback_mb : static_cast<std::size_t>(mb)) << 20;
 }
 
 ResultCache::ResultCache(ResultCacheOptions options)

@@ -51,8 +51,9 @@ struct ResultCacheOptions {
   std::string disk_dir;
 };
 
-/// Parse MCDFT_CACHE_MB (megabytes; unset -> `fallback_mb`, 0 -> cache
-/// disabled, negative/garbage -> fallback).
+/// Parse MCDFT_CACHE_MB (megabytes; unset or empty -> `fallback_mb`, 0 ->
+/// cache disabled).  Any other value that is not a whole integer >= 0
+/// throws util::Error naming the variable.
 std::size_t CacheCapacityFromEnv(std::size_t fallback_mb = 256);
 
 class ResultCache {

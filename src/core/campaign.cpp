@@ -255,9 +255,8 @@ ConfigResult AssembleConfigRow(const ConfigVector& cv,
 
 faults::SensitivityScreenSpec MakeSensitivityScreenSpec(
     const testability::DetectionCriteria& criteria, std::size_t points,
-    const CampaignOptions& options) {
+    const CampaignOptions& /*options*/) {
   faults::SensitivityScreenSpec spec;
-  spec.margin = options.mna.screen_margin;
   spec.relative_floor = criteria.relative_floor;
   spec.threshold.resize(points);
   for (std::size_t i = 0; i < points; ++i) {

@@ -235,8 +235,9 @@ PreparedConfig PrepareCampaignConfig(DftCircuit& work,
 /// Build the adjoint sensitivity-screen spec of one prepared configuration
 /// for a sweep of `points` grid points: per-point detection thresholds
 /// (epsilon + envelope, the exact ThresholdAt() arithmetic the analysis
-/// applies later), the deviation relative floor, and the guard margin from
-/// options.mna.screen_margin.  Callers gate on
+/// applies later) and the deviation relative floor.  No option moves the
+/// spec today (the guard margin is faults::kScreenMargin); `options` stays
+/// in the signature for the benchmark's layered replica.  Callers gate on
 /// spice::SensitivityScreenEnabled(options.mna) and AC analysis before
 /// passing the spec to FaultSimulator::SimulateRange.
 faults::SensitivityScreenSpec MakeSensitivityScreenSpec(

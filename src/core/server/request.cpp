@@ -80,10 +80,6 @@ CampaignRequest RequestFromJson(const json::Value& v) {
   r.ppd = IntOr(v, "ppd", r.ppd, 1, 100'000);
   r.max_followers = IntOr(v, "max_followers", r.max_followers, -1, 1024);
   r.screen = BoolOr(v, "screen", r.screen);
-  r.screen_margin = NumberOr(v, "screen_margin", r.screen_margin);
-  if (r.screen_margin < 1.0) {
-    throw util::Error("field 'screen_margin' must be >= 1");
-  }
   r.threads = IntOr(v, "threads", r.threads, 0, 4096);
   r.priority = IntOr(v, "priority", r.priority, -1'000'000, 1'000'000);
   r.analysis = StringOr(v, "analysis", r.analysis);
@@ -138,14 +134,11 @@ json::Value RequestToJson(const CampaignRequest& request) {
   v.Set("ppd", json::Value::Number(static_cast<std::int64_t>(request.ppd)));
   v.Set("max_followers", json::Value::Number(
                              static_cast<std::int64_t>(request.max_followers)));
-  // The screen fields ride the wire only when non-default, like the
+  // The screen field rides the wire only when non-default, like the
   // transient fields below: pre-screen clients' request bytes (and hence
   // daemon cache keys computed from them) are unchanged.
   if (!request.screen) {
     v.Set("screen", json::Value::Bool(false));
-  }
-  if (request.screen_margin != 8.0) {
-    v.Set("screen_margin", json::Value::Number(request.screen_margin));
   }
   v.Set("threads", json::Value::Number(
                        static_cast<std::int64_t>(request.threads)));
@@ -212,9 +205,6 @@ CampaignJob BuildCampaignJob(const CampaignRequest& request) {
     throw util::Error(
         "field 'transient_t_end' must be finite and >= 0 (0 = auto)");
   }
-  if (!(request.screen_margin >= 1.0)) {
-    throw util::Error("field 'screen_margin' must be >= 1");
-  }
 
   AnalogBlock block =
       request.deck.empty()
@@ -273,7 +263,6 @@ CampaignJob BuildCampaignJob(const CampaignRequest& request) {
     options.tolerance->samples = static_cast<std::size_t>(request.samples);
   }
   options.mna.sensitivity_screen = request.screen;
-  options.mna.screen_margin = request.screen_margin;
   options.threads = request.threads <= 0
                         ? 0
                         : static_cast<std::size_t>(request.threads);

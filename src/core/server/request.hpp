@@ -47,10 +47,6 @@ struct CampaignRequest {
   /// from the wire when true so existing requests keep their bytes.
   bool screen = true;
 
-  /// Screen guard margin (MnaOptions::screen_margin); must be >= 1.
-  /// Omitted from the wire when at the default 8.0.
-  double screen_margin = 8.0;
-
   int threads = 0;                 ///< campaign worker threads (0 = auto)
   int priority = 0;                ///< higher runs earlier
 
@@ -82,7 +78,9 @@ struct CampaignRequest {
 };
 
 /// Parse a submit request object.  Throws util::Error (with a message
-/// naming the field) on malformed input.
+/// naming the field) on malformed input.  Unknown fields are ignored, so
+/// older clients that still send retired knobs (`lowrank`, `batch`,
+/// `screen_margin`) keep working.
 CampaignRequest RequestFromJson(const util::json::Value& v);
 
 /// Serialize (the client side of the protocol).
@@ -104,9 +102,8 @@ struct CampaignJob {
 /// to the opamp count, capped at 2 above five opamps), paper campaign
 /// options with the request's knobs.  Throws util::Error naming the field
 /// on an out-of-range knob (ppd < 1, samples < 1 with tol > 0,
-/// transient_steps < 0, transient_t_end negative or not finite,
-/// screen_margin < 1), and on an unknown circuit, unparsable deck, or bad
-/// extra fault.
+/// transient_steps < 0, transient_t_end negative or not finite), and on an
+/// unknown circuit, unparsable deck, or bad extra fault.
 CampaignJob BuildCampaignJob(const CampaignRequest& request);
 
 }  // namespace mcdft::core::server

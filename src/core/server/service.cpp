@@ -135,6 +135,26 @@ SubmitOutcome CampaignService::CancelOutcome(util::CancelKind kind,
   return outcome;
 }
 
+std::optional<SubmitOutcome> CampaignService::CacheHit(
+    const std::string& key, const std::string& request_id) {
+  static metrics::Counter& m_cache_hit =
+      metrics::GetCounter("server.cache_hit");
+  std::string tier;
+  std::optional<CachedRun> hit = cache_.Lookup(key, &tier);
+  if (!hit) return std::nullopt;
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  m_cache_hit.Add();
+  SubmitOutcome outcome;
+  outcome.ok = true;
+  outcome.key = key;
+  outcome.cache_tier = tier;
+  outcome.exit_code = hit->exit_code;
+  outcome.quarantined_cells = hit->quarantined_cells;
+  outcome.report_json = std::move(hit->report_json);
+  outcome.request_id = request_id;
+  return outcome;
+}
+
 std::int64_t CampaignService::RetryAfterMsLocked() const {
   // Backlog-proportional hint: an empty queue suggests the base delay,
   // a deep one stretches it by queued-jobs-per-worker.  The client
@@ -157,8 +177,6 @@ bool CampaignService::Cancel(const std::string& request_id) {
 SubmitOutcome CampaignService::Submit(const CampaignRequest& request) {
   static metrics::Counter& m_requests = metrics::GetCounter("server.requests");
   static metrics::Counter& m_errors = metrics::GetCounter("server.errors");
-  static metrics::Counter& m_cache_hit =
-      metrics::GetCounter("server.cache_hit");
   static metrics::Counter& m_dedup =
       metrics::GetCounter("server.singleflight_dedup");
   static metrics::Counter& m_rejected = metrics::GetCounter("server.rejected");
@@ -233,21 +251,8 @@ SubmitOutcome CampaignService::Submit(const CampaignRequest& request) {
     }
 
     // Fast path: a completed run under this key (memory, then disk).
-    {
-      std::string tier;
-      if (std::optional<CachedRun> hit = cache_.Lookup(key, &tier)) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        m_cache_hit.Add();
-        SubmitOutcome outcome;
-        outcome.ok = true;
-        outcome.key = key;
-        outcome.cache_tier = tier;
-        outcome.exit_code = hit->exit_code;
-        outcome.quarantined_cells = hit->quarantined_cells;
-        outcome.report_json = std::move(hit->report_json);
-        outcome.request_id = request_id;
-        return outcome;
-      }
+    if (std::optional<SubmitOutcome> hit = CacheHit(key, request_id)) {
+      return *hit;
     }
 
     // Single-flight: the first requester of a key leads (enqueues and
@@ -270,24 +275,13 @@ SubmitOutcome CampaignService::Submit(const CampaignRequest& request) {
       // (both worker erase and our try_emplace go through flights_mutex_),
       // so a re-check here makes "duplicates compute exactly once"
       // airtight rather than merely likely.
-      std::string tier;
-      if (std::optional<CachedRun> hit = cache_.Lookup(key, &tier)) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        m_cache_hit.Add();
-        SubmitOutcome outcome;
-        outcome.ok = true;
-        outcome.key = key;
-        outcome.cache_tier = tier;
-        outcome.exit_code = hit->exit_code;
-        outcome.quarantined_cells = hit->quarantined_cells;
-        outcome.report_json = std::move(hit->report_json);
-        outcome.request_id = request_id;
+      if (std::optional<SubmitOutcome> hit = CacheHit(key, request_id)) {
         {
           std::lock_guard<std::mutex> lock(flights_mutex_);
           flights_.erase(key);
         }
-        FinishFlight(flight, outcome);  // release any followers that joined
-        return outcome;
+        FinishFlight(flight, *hit);  // release any followers that joined
+        return *hit;
       }
       if (!built) {
         // The previous loop iteration moved the job into the queue; this
@@ -311,13 +305,7 @@ SubmitOutcome CampaignService::Submit(const CampaignRequest& request) {
           queue_.push_back(QueuedJob{flight, std::move(*built), token,
                                      request.priority, next_seq_++});
           built.reset();
-          std::push_heap(queue_.begin(), queue_.end(),
-                         [](const QueuedJob& a, const QueuedJob& b) {
-                           if (a.priority != b.priority) {
-                             return a.priority < b.priority;
-                           }
-                           return a.seq > b.seq;
-                         });
+          std::push_heap(queue_.begin(), queue_.end(), QueuedJob::RunsAfter);
         }
       }
       if (!reject_reason.empty()) {
@@ -374,13 +362,7 @@ SubmitOutcome CampaignService::Submit(const CampaignRequest& request) {
             [&](const QueuedJob& q) { return q.flight == flight; });
         if (it != queue_.end()) {
           queue_.erase(it);
-          std::make_heap(queue_.begin(), queue_.end(),
-                         [](const QueuedJob& a, const QueuedJob& b) {
-                           if (a.priority != b.priority) {
-                             return a.priority < b.priority;
-                           }
-                           return a.seq > b.seq;
-                         });
+          std::make_heap(queue_.begin(), queue_.end(), QueuedJob::RunsAfter);
           removed = true;
         }
       }
@@ -416,13 +398,7 @@ void CampaignService::WorkerLoop() {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;
-      std::pop_heap(queue_.begin(), queue_.end(),
-                    [](const QueuedJob& a, const QueuedJob& b) {
-                      if (a.priority != b.priority) {
-                        return a.priority < b.priority;
-                      }
-                      return a.seq > b.seq;
-                    });
+      std::pop_heap(queue_.begin(), queue_.end(), QueuedJob::RunsAfter);
       q.emplace(std::move(queue_.back()));
       queue_.pop_back();
       ++active_jobs_;

@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,11 +137,22 @@ class CampaignService {
     std::shared_ptr<util::CancelToken> cancel;
     int priority = 0;
     std::uint64_t seq = 0;  ///< FIFO tiebreak within a priority
+
+    /// The queue's heap order: true when `a` runs after `b` — lower
+    /// priority, or the same priority submitted later (FIFO).
+    static bool RunsAfter(const QueuedJob& a, const QueuedJob& b) {
+      if (a.priority != b.priority) return a.priority < b.priority;
+      return a.seq > b.seq;
+    }
   };
 
   void WorkerLoop();
   SubmitOutcome ComputeNow(CampaignJob& job);
   SubmitOutcome CancelOutcome(util::CancelKind kind, const std::string& key);
+  /// The outcome of a completed run cached under `key` (memory, then disk
+  /// tier), counted as a cache hit; nullopt on a miss.
+  std::optional<SubmitOutcome> CacheHit(const std::string& key,
+                                        const std::string& request_id);
   std::int64_t RetryAfterMsLocked() const;
   static void FinishFlight(const std::shared_ptr<Flight>& flight,
                            SubmitOutcome outcome);
@@ -152,7 +164,7 @@ class CampaignService {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::condition_variable drained_cv_;
-  std::vector<QueuedJob> queue_;  // heap ordered by (priority, -seq)
+  std::vector<QueuedJob> queue_;  // heap ordered by QueuedJob::RunsAfter
   std::uint64_t next_seq_ = 0;
   std::size_t active_jobs_ = 0;   // popped, not yet finished
   bool draining_ = false;         // admission closed; workers still drain

@@ -117,7 +117,7 @@ std::string CampaignContentHash(const DftCircuit& circuit,
   }
   for (const auto& cv : configs) blob += "|cv=" + cv.BitString();
   // Every option that can change campaign numbers.  Thread count and the
-  // factorization cache are deliberately absent: results are invariant to
+  // shared factor cache are deliberately absent: results are invariant to
   // both (see DESIGN.md "Threading & determinism").
   blob += "|eps=";
   AppendExact(blob, options.criteria.epsilon);
@@ -142,8 +142,10 @@ std::string CampaignContentHash(const DftCircuit& circuit,
     blob += "|anchor=";
     AppendExact(blob, *options.anchor_hz);
   }
-  blob += "|backend=" + std::to_string(static_cast<int>(options.mna.backend));
-  blob += "|dense=" + std::to_string(options.mna.dense_threshold);
+  // Constants: the solver-backend fields these spelled (automatic backend,
+  // dense switch-over at 64 unknowns) are gone, and every campaign ran at
+  // those defaults, so checkpoints and cache records keep their hash.
+  blob += "|backend=0|dense=64";
   if (options.analysis != CampaignAnalysis::kTransient) {
     // AC campaigns run one fault path (frequency-major SMW).  This constant
     // is what the default path has always folded in here, so AC
@@ -154,11 +156,11 @@ std::string CampaignContentHash(const DftCircuit& circuit,
     // way, but a skipped cell stores its first-order deviation value, so
     // screened and unscreened checkpoints must never merge.  Appended only
     // when the screen is on, so unscreened runs — and every pre-screen
-    // checkpoint — keep their hash byte for byte.  The margin moves the
-    // screened/borderline frontier, hence rides along.
+    // checkpoint — keep their hash byte for byte.  The margin is the
+    // constant faults::kScreenMargin and rides along as it always has.
     if (spice::SensitivityScreenEnabled(options.mna)) {
       blob += "|screen=1|margin=";
-      AppendExact(blob, options.mna.screen_margin);
+      AppendExact(blob, faults::kScreenMargin);
     }
   } else {
     // Transient campaign fields are appended only when the analysis is

@@ -33,12 +33,10 @@ namespace mcdft::faults {
 
 /// Per-config screen parameters, built by the campaign layer from its
 /// DetectionCriteria: `threshold[i]` is DetectionCriteria::ThresholdAt(i)
-/// (epsilon + tolerance envelope) on the sweep grid, `margin` the guard
-/// band (MnaOptions::screen_margin, >= 1).  `relative_floor` rides along
-/// so the simulator can rebuild the deviation denominators from its own
-/// pass-1 nominal sweep with the campaign's exact parameters.
+/// (epsilon + tolerance envelope) on the sweep grid.  `relative_floor`
+/// rides along so the simulator can rebuild the deviation denominators
+/// from its own pass-1 nominal sweep with the campaign's exact parameters.
 struct SensitivityScreenSpec {
-  double margin = 8.0;
   double relative_floor = 1e-9;
   std::vector<double> threshold;
 };
@@ -82,6 +80,18 @@ inline bool ScreenableFault(const Fault& fault) {
 linalg::Complex FirstOrderProbeDelta(const linalg::LowRankPerturbation& delta,
                                      const linalg::Vector& lambda,
                                      const linalg::Vector& x0);
+
+/// Guard band of the campaign's screen: a cell is only skipped when its
+/// first-order estimate is at least this factor away from the detection
+/// threshold (see ScreenCell), so first-order truncation error cannot flip
+/// a verdict.  Folded into the campaign content hash when the screen is
+/// on.  The 8x is sized by the near-threshold fuzz test: the exact rank-1
+/// delta is first_order / (1 + s), and |1 + s| down to ~0.25 is observed
+/// for the <= 25% deviations the screen accepts (ScreenableFault caps
+/// larger ones onto the exact path), so 8x doubles the worst observed
+/// requirement.  It does not hold on leapfrog, where |1 + s| reaches ~17
+/// at the low band edge (DESIGN.md "Adjoint sensitivity screen").
+inline constexpr double kScreenMargin = 8.0;
 
 /// Classify one cell: `nominal` is the cell's nominal probe value,
 /// `first_order_delta` the estimate above, `denom` the deviation

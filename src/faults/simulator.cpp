@@ -40,6 +40,25 @@ metrics::Counter& QuarantineCounter() {
   return c;
 }
 
+/// The reference sweep of `netlist`: every point assembled generically and
+/// factored afresh by MnaSystem::Solve.
+spice::FrequencyResponse ReferenceSweep(const spice::Netlist& netlist,
+                                        const spice::SweepSpec& sweep,
+                                        const spice::Probe& probe,
+                                        std::string label) {
+  util::trace::Span span("faults.sim.sweep");
+  const spice::MnaSystem sys(netlist);
+  spice::FrequencyResponse r;
+  r.freqs_hz = sweep.Frequencies();
+  r.values.reserve(r.freqs_hz.size());
+  r.label = std::move(label);
+  for (const double f : r.freqs_hz) {
+    r.values.push_back(
+        sys.SolveAcHz(f).VoltageBetween(probe.plus, probe.minus));
+  }
+  return r;
+}
+
 }  // namespace
 
 FaultSimulator::FaultSimulator(const spice::Netlist& netlist,
@@ -48,8 +67,7 @@ FaultSimulator::FaultSimulator(const spice::Netlist& netlist,
     : work_(netlist.Clone()),
       sweep_(std::move(sweep)),
       probe_(std::move(probe)),
-      options_(options),
-      analyzer_(work_, options_) {
+      options_(options) {
   work_.ValidateOrThrow();
 }
 
@@ -57,32 +75,25 @@ spice::FrequencyResponse FaultSimulator::SimulateNominal() const {
   static metrics::Counter& nominal_sweeps =
       metrics::GetCounter("faults.sim.nominal_sweeps");
   nominal_sweeps.Add();
-  util::trace::Span span("faults.sim.sweep");
-  spice::FrequencyResponse r = analyzer_.Run(sweep_, probe_);
-  r.label = "nominal";
-  return r;
+  return ReferenceSweep(work_, sweep_, probe_, "nominal");
 }
 
 spice::FrequencyResponse FaultSimulator::SimulateFault(const Fault& fault) const {
   static metrics::Counter& fault_sweeps =
       metrics::GetCounter("faults.sim.fault_sweeps");
   fault_sweeps.Add();
-  util::trace::Span span("faults.sim.sweep");
   ScopedFaultInjection injection(work_, fault);
-  spice::FrequencyResponse r = analyzer_.Run(sweep_, probe_);
-  r.label = fault.Label();
-  return r;
+  return ReferenceSweep(work_, sweep_, probe_, fault.Label());
 }
 
 namespace {
 
 /// Per-point screening context of the sensitivity screen: the deviation
-/// denominator and detection threshold at one sweep point plus the guard
-/// margin.  Null = no screening at this point.
+/// denominator and detection threshold at one sweep point.  Null = no
+/// screening at this point.
 struct ScreenPoint {
   double denom;
   double threshold;
-  double margin;
 };
 
 /// Per-thread-block state of a frequency-major sweep.  Fault injection
@@ -103,10 +114,10 @@ struct ScreenPoint {
 /// quarantine verdicts are identical at any thread or shard count.
 class FreqMajorBlock {
  public:
-  FreqMajorBlock(const spice::Netlist& base, const spice::MnaOptions& options,
-                 double omega0, const std::vector<Fault>& faults,
-                 std::size_t fault_begin, std::size_t fault_end)
-      : local_(base.Clone()), sys_(local_, options) {
+  FreqMajorBlock(const spice::Netlist& base, double omega0,
+                 const std::vector<Fault>& faults, std::size_t fault_begin,
+                 std::size_t fault_end)
+      : local_(base.Clone()), sys_(local_) {
     // Resolve each fault's target once: the per-point loop then skips the
     // name lookup (hash + case fold) on every (fault, frequency) pair.
     targets_.reserve(fault_end - fault_begin);
@@ -322,7 +333,7 @@ class FreqMajorBlock {
     const ScreenDecision decision =
         ScreenCell(ProbeValue(probe, x0),
                    FirstOrderProbeDelta(delta, lambda_, x0), sp->denom,
-                   sp->threshold, sp->margin);
+                   sp->threshold, kScreenMargin);
     if (!decision.skip) return std::nullopt;
     return decision.synthetic;
   }
@@ -414,8 +425,7 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
   // quarantined point stores 0 and contributes nothing to the peak).
   const bool screening = screen != nullptr &&
                          spice::SensitivityScreenEnabled(options_) &&
-                         screen->threshold.size() == points &&
-                         screen->margin >= 1.0;
+                         screen->threshold.size() == points;
   std::vector<double> denoms;
   if (screening) {
     spice::FrequencyResponse reference;
@@ -423,8 +433,8 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
     reference.values.assign(points, linalg::Complex(0.0, 0.0));
     util::ParallelForRange(
         threads, points, [&](std::size_t begin, std::size_t end) {
-          FreqMajorBlock block(work_, options_, kTwoPi * freqs[0], faults,
-                               fault_begin, fault_begin);  // nominal only
+          FreqMajorBlock block(work_, kTwoPi * freqs[0], faults, fault_begin,
+                               fault_begin);  // nominal only
           for (std::size_t t = begin; t < end; ++t) {
             const std::optional<linalg::Complex> nominal =
                 block.SolveNominal(t, kTwoPi * freqs[t], probe_);
@@ -436,8 +446,8 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
 
   util::ParallelForRange(
       threads, points, [&](std::size_t begin, std::size_t end) {
-        FreqMajorBlock block(work_, options_, kTwoPi * freqs[0], faults,
-                             fault_begin, fault_end);
+        FreqMajorBlock block(work_, kTwoPi * freqs[0], faults, fault_begin,
+                             fault_end);
         for (std::size_t t = begin; t < end; ++t) {
           const double omega = kTwoPi * freqs[t];
           const std::optional<linalg::Complex> nominal =
@@ -454,8 +464,7 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
           }
           out[0].values[t] = *nominal;
           const ScreenPoint sp =
-              screening ? ScreenPoint{denoms[t], screen->threshold[t],
-                                      screen->margin}
+              screening ? ScreenPoint{denoms[t], screen->threshold[t]}
                         : ScreenPoint{};
           for (std::size_t j = 0; j < count; ++j) {
             const std::optional<linalg::Complex> v =
@@ -495,9 +504,8 @@ namespace {
 /// quarantine verdicts are identical at any thread or shard partition.
 class TransientBlock {
  public:
-  TransientBlock(const spice::Netlist& base, const spice::MnaOptions& options,
-                 const spice::TransientSpec& spec)
-      : local_(base.Clone()), sys_(local_, options), spec_(spec) {}
+  TransientBlock(const spice::Netlist& base, const spice::TransientSpec& spec)
+      : local_(base.Clone()), sys_(local_), spec_(spec) {}
 
   /// March the nominal trajectory into `values` (sized spec.steps).
   /// Returns the first bad step index (spec.steps == clean); a singular
@@ -646,7 +654,7 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
   }
 
   // Nominal trajectory (serial; a trajectory has no parallel axis).
-  TransientBlock nominal_block(work_, options_, spec);
+  TransientBlock nominal_block(work_, spec);
   const std::size_t nominal_good =
       nominal_block.MarchNominal(probe_, out[0].values);
 
@@ -655,7 +663,7 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
   std::vector<std::size_t> first_bad(count, points);
   util::ParallelForRange(
       threads, count, [&](std::size_t begin, std::size_t end) {
-        TransientBlock block(work_, options_, spec);
+        TransientBlock block(work_, spec);
         for (std::size_t j = begin; j < end; ++j) {
           const Fault& fault = faults[fault_begin + j];
           spice::Element& element = block.local_.GetElement(fault.Device());
@@ -683,16 +691,6 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
     QuarantineCounter().Add(quarantined);
   }
   return out;
-}
-
-FaultSimCampaign FaultSimulator::Run(const std::vector<Fault>& faults) const {
-  FaultSimCampaign campaign;
-  campaign.nominal = SimulateNominal();
-  campaign.faulty.reserve(faults.size());
-  for (const auto& f : faults) {
-    campaign.faulty.push_back(FaultSimResult{f, SimulateFault(f)});
-  }
-  return campaign;
 }
 
 }  // namespace mcdft::faults

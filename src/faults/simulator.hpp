@@ -2,12 +2,9 @@
 //
 // This is the paper's "extensive fault simulation" (HSPICE in the original,
 // our MNA engine here).  Campaigns call SimulateRange (AC) or
-// SimulateTransientRange.  SimulateNominal / SimulateFault run one plain
-// sweep each through ScopedFaultInjection on the simulator's working copy
-// of the circuit, with one AcAnalyzer persisting across sweeps: fault
-// injection is value-only, so the MNA structure and solve cache carry over
-// (the analyzer re-derives its pivot ordering at each sweep's first point,
-// so reuse does not change any numbers).
+// SimulateTransientRange.  SimulateNominal / SimulateFault are the small
+// reference oracle those paths are tested against: one plain sweep each,
+// every point assembled and factored afresh by spice::MnaSystem::Solve.
 #pragma once
 
 #include "faults/fault_list.hpp"
@@ -18,52 +15,36 @@
 
 namespace mcdft::faults {
 
-/// Result of simulating one fault.
-struct FaultSimResult {
-  Fault fault;
-  spice::FrequencyResponse response;
-};
-
-/// Result of a whole campaign.
-struct FaultSimCampaign {
-  spice::FrequencyResponse nominal;
-  std::vector<FaultSimResult> faulty;
-};
-
 /// Drives fault simulation of a fixed circuit / sweep / probe.
 class FaultSimulator {
  public:
   /// The simulator clones `netlist` internally; later changes to the
-  /// original do not affect it.
+  /// original do not affect it.  `options` carries the sensitivity-screen
+  /// gate of SimulateRange.
   FaultSimulator(const spice::Netlist& netlist, spice::SweepSpec sweep,
                  spice::Probe probe, spice::MnaOptions options = {});
 
-  // The persistent analyzer references the internal netlist clone.
-  FaultSimulator(const FaultSimulator&) = delete;
-  FaultSimulator& operator=(const FaultSimulator&) = delete;
-
-  /// Fault-free response: one sweep through the persistent analyzer, on
-  /// the options' backend.  Fail-fast: a solve failure throws.  With the
-  /// dense backend this and SimulateFault() are the independent reference
-  /// the campaign path (SimulateRange) is tested against.
+  /// Fault-free response, the reference sweep: per point, generic
+  /// Assemble and a fresh factorization (spice::MnaSystem::Solve; dense
+  /// on every bundled circuit).  No stamp program, refactorization or SMW
+  /// update is involved, so it shares no machinery with SimulateRange.
+  /// Fail-fast: a solve failure throws.
   spice::FrequencyResponse SimulateNominal() const;
 
-  /// Response with one fault injected (fail-fast, like SimulateNominal()).
+  /// Response with one fault injected (the reference, like
+  /// SimulateNominal()).
   spice::FrequencyResponse SimulateFault(const Fault& fault) const;
-
-  /// Nominal + all faulty responses.
-  FaultSimCampaign Run(const std::vector<Fault>& faults) const;
 
   /// The campaign's AC fault path over a fault range: returns the nominal
   /// response followed by the responses of faults [fault_begin, fault_end)
   /// in order — the exact slot layout of one campaign-unit row.
   ///
   /// Frequency-major: per sweep frequency the nominal system is factored
-  /// once (a numeric refactorization under an ordering derived from the
-  /// sweep's first point, always sparse whatever the options' backend) and
-  /// every fault is applied as a Sherman-Morrison-Woodbury rank-update
-  /// against it; faults the SMW path rejects (RHS deltas, near-singular
-  /// updates) are solved exactly from scratch.  The sweep parallelizes
+  /// once (a sparse numeric refactorization under an ordering derived from
+  /// the sweep's first point) and every fault is applied as a
+  /// Sherman-Morrison-Woodbury rank-update against it; faults the SMW path
+  /// rejects (RHS deltas, near-singular updates) are solved exactly from
+  /// scratch.  The sweep parallelizes
   /// over frequency blocks; every value is a pure function of (netlist
   /// values, frequency), so results are bit-identical for any `threads`
   /// (0 = resolve MCDFT_THREADS).
@@ -79,9 +60,10 @@ class FaultSimulator {
   /// nominal sweep prices the campaign's deviation denominators, then each
   /// point pays one SparseLu::SolveTranspose and every parametric fault
   /// whose first-order |dT/T| estimate clears `screen->threshold` by the
-  /// guard band skips its SMW/exact solve, storing the first-order value
-  /// instead.  Detectability masks derived from the result are bit-
-  /// identical to the unscreened run (see sensitivity_screen.hpp); only
+  /// guard band kScreenMargin skips its SMW/exact solve, storing the
+  /// first-order value instead.  Detectability masks derived from the
+  /// result are meant to be bit-identical to the unscreened run (see
+  /// sensitivity_screen.hpp; leapfrog is a known exception); only
   /// the stored deviation magnitudes of skipped cells differ, which is why
   /// the campaign content hash folds the effective screen gate in.
   std::vector<spice::FrequencyResponse> SimulateRange(
@@ -110,9 +92,6 @@ class FaultSimulator {
       std::size_t fault_end, std::size_t threads,
       const spice::TransientSpec& spec) const;
 
-  const spice::SweepSpec& Sweep() const { return sweep_; }
-  const spice::Probe& GetProbe() const { return probe_; }
-
  private:
   // mutable: SimulateFault temporarily perturbs the working netlist and
   // restores it; the object is logically const.
@@ -120,9 +99,6 @@ class FaultSimulator {
   spice::SweepSpec sweep_;
   spice::Probe probe_;
   spice::MnaOptions options_;
-  // Persistent analyzer over work_: the MNA structure survives value-only
-  // fault injection, so its solve cache is reused across all sweeps.
-  mutable spice::AcAnalyzer analyzer_;
 };
 
 }  // namespace mcdft::faults

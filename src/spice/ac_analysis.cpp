@@ -54,7 +54,7 @@ SweepSpec SweepSpec::List(std::vector<double> frequencies_hz) {
 }
 
 AcAnalyzer::AcAnalyzer(const Netlist& netlist, MnaOptions options)
-    : system_(netlist, options) {}
+    : system_(netlist), cache_(options.shared_factor_cache) {}
 
 FrequencyResponse AcAnalyzer::Run(const SweepSpec& sweep,
                                   const Probe& probe) const {

@@ -38,14 +38,9 @@ linalg::Vector Residual(const linalg::TripletMatrix& a,
 /// One factorization of the (possibly regularized) DC matrix, reusable for
 /// every Newton step.  Returns nullopt when the factorization is singular.
 std::optional<std::function<linalg::Vector(const linalg::Vector&)>>
-MakeSolver(const linalg::TripletMatrix& a, const MnaOptions& options,
-           std::string* error) {
-  const std::size_t n = a.Rows();
-  const bool dense =
-      options.backend == SolverBackend::kDense ||
-      (options.backend == SolverBackend::kAuto && n <= options.dense_threshold);
+MakeSolver(const linalg::TripletMatrix& a, std::string* error) {
   try {
-    if (dense) {
+    if (UseDenseLu(a.Rows())) {
       const linalg::Matrix m = a.ToDense();
       return [m](const linalg::Vector& b) { return linalg::SolveDense(m, b); };
     }
@@ -65,12 +60,11 @@ std::string FormatGmin(double gmin) {
 
 }  // namespace
 
-DcOperatingPoint SolveOperatingPoint(const Netlist& netlist,
-                                     MnaOptions options) {
+DcOperatingPoint SolveOperatingPoint(const Netlist& netlist) {
   static metrics::Counter& fallbacks =
       metrics::GetCounter("spice.dc.gmin_fallback");
 
-  MnaSystem system(netlist, options);
+  MnaSystem system(netlist);
   linalg::TripletMatrix a;
   linalg::Vector rhs;
   system.Assemble(AnalysisKind::kDc, 0.0, a, rhs);
@@ -91,7 +85,7 @@ DcOperatingPoint SolveOperatingPoint(const Netlist& netlist,
         trial.Add(i, i, Complex(gmin, 0.0));
       }
     }
-    auto solver = MakeSolver(trial, options, &first_error);
+    auto solver = MakeSolver(trial, &first_error);
     if (!solver) continue;  // singular at this rung; escalate
 
     // Newton iteration hook.  The DC stamps are linear, so the Jacobian is

@@ -47,7 +47,6 @@ struct DcOperatingPoint {
 /// {1e-12, 1e-9, 1e-6} S added to every node diagonal.  Throws NumericError
 /// with the named diagnostic "dc.singular_after_gmin_ladder" only when all
 /// rungs fail (a structurally unsolvable system, not a conditioning issue).
-DcOperatingPoint SolveOperatingPoint(const Netlist& netlist,
-                                     MnaOptions options = {});
+DcOperatingPoint SolveOperatingPoint(const Netlist& netlist);
 
 }  // namespace mcdft::spice

@@ -218,8 +218,7 @@ bool SensitivityScreenEnabled(const MnaOptions& options) {
   return options.sensitivity_screen;
 }
 
-MnaSystem::MnaSystem(const Netlist& netlist, MnaOptions options)
-    : netlist_(netlist), options_(options) {
+MnaSystem::MnaSystem(const Netlist& netlist) : netlist_(netlist) {
   netlist.ValidateOrThrow();
   node_unknowns_ = netlist.NodeCount() - 1;
   branch_base_.resize(netlist.ElementCount() + 1);
@@ -287,19 +286,9 @@ MnaSolution MnaSystem::Solve(AnalysisKind kind, double omega) const {
   linalg::TripletMatrix a;
   linalg::Vector rhs;
   Assemble(kind, omega, a, rhs);
-
-  const bool use_sparse =
-      options_.backend == SolverBackend::kSparse ||
-      (options_.backend == SolverBackend::kAuto &&
-       unknown_count_ > options_.dense_threshold);
-
-  linalg::Vector x;
-  if (use_sparse) {
-    linalg::CsrMatrix csr(a);
-    x = linalg::SolveSparse(csr, rhs);
-  } else {
-    x = linalg::SolveDense(a.ToDense(), rhs);
-  }
+  linalg::Vector x = UseDenseLu(unknown_count_)
+                         ? linalg::SolveDense(a.ToDense(), rhs)
+                         : linalg::SolveSparse(linalg::CsrMatrix(a), rhs);
   return MnaSolution(std::move(x), &branch_base_, node_unknowns_);
 }
 
@@ -497,10 +486,6 @@ void AcStampProgram::Evaluate(double omega, linalg::CsrAssembly& pattern,
 
 MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
   static metrics::Counter& solve_count = metrics::GetCounter("spice.mna.solve");
-  static metrics::Counter& dense_count =
-      metrics::GetCounter("spice.mna.dense_solve");
-  static metrics::Counter& uncached_count =
-      metrics::GetCounter("spice.mna.uncached_sparse_solve");
   static metrics::Counter& program_records =
       metrics::GetCounter("spice.mna.program_records");
   static metrics::Counter& pattern_rebuild =
@@ -512,25 +497,10 @@ MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
 
   solve_count.Add();
   const double omega = 2.0 * std::numbers::pi * hz;
-  const MnaOptions& options = sys.Options();
 
-  if (options.backend == SolverBackend::kDense ||
-      (options.backend == SolverBackend::kAuto && !options.cache_factorization &&
-       sys.UnknownCount() <= options.dense_threshold)) {
-    dense_count.Add();
-    sys.Assemble(AnalysisKind::kAc, omega, a_, rhs_);
-    return sys.WrapSolution(linalg::SolveDense(a_.ToDense(), rhs_));
-  }
-  if (!options.cache_factorization) {
-    uncached_count.Add();
-    sys.Assemble(AnalysisKind::kAc, omega, a_, rhs_);
-    return sys.WrapSolution(linalg::SolveSparse(linalg::CsrMatrix(a_), rhs_));
-  }
-
-  // Cached sparse path.  The sweep's first point records the stamp program
-  // and checks the pattern once; every later point is the program's flat
-  // value refresh, then a numeric-only refactorization under the stored
-  // pivot ordering.
+  // The sweep's first point records the stamp program and checks the
+  // pattern once; every later point is the program's flat value refresh,
+  // then a numeric-only refactorization under the stored pivot ordering.
   if (!recorded_) {
     program_records.Add();
     program_.Record(sys, omega, a_, rhs_);
@@ -555,15 +525,14 @@ MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
     // published snapshot of the identical system (copied pre-program,
     // immediately after construction) is a byte-exact stand-in for
     // constructing here, so a hit cannot change results.
-    SharedFactorCache* shared = options.shared_factor_cache;
     std::shared_ptr<const linalg::SparseLu> snapshot;
-    if (shared != nullptr &&
-        (snapshot = shared->Acquire(SharedFactorCache::KeyOf(m)))) {
+    if (shared_ != nullptr &&
+        (snapshot = shared_->Acquire(SharedFactorCache::KeyOf(m)))) {
       lu_.emplace(*snapshot);
     } else {
       lu_.emplace(m);
-      if (shared != nullptr) {
-        shared->Publish(SharedFactorCache::KeyOf(m), *lu_);
+      if (shared_ != nullptr) {
+        shared_->Publish(SharedFactorCache::KeyOf(m), *lu_);
       }
     }
     full_factor.Add();

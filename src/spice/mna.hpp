@@ -2,8 +2,9 @@
 //
 // Unknown ordering: the N-1 non-ground node voltages first (node id i maps
 // to unknown i-1), then one slot per element branch current in element
-// insertion order.  The assembled system A x = b is solved with the dense
-// LU backend below a size threshold and the sparse Markowitz LU above it.
+// insertion order.  MnaSystem::Solve factors the assembled system A x = b
+// afresh (dense LU up to kDenseLuMaxUnknowns, sparse Markowitz LU above);
+// MnaSolveCache is the sweep path, always sparse with a reused ordering.
 #pragma once
 
 #include <cstdint>
@@ -19,46 +20,20 @@ namespace mcdft::spice {
 
 class SharedFactorCache;  // spice/factor_cache.hpp
 
-/// Which linear-solver backend the MNA engine uses.
-enum class SolverBackend {
-  kAuto,    ///< dense below `dense_threshold` unknowns, sparse above
-  kDense,   ///< always dense LU
-  kSparse,  ///< always sparse Markowitz LU
-};
-
-/// MNA engine options.
+/// MNA engine options.  The solver path itself is fixed: see
+/// MnaSystem::Solve and MnaSolveCache.
 struct MnaOptions {
-  SolverBackend backend = SolverBackend::kAuto;
-  std::size_t dense_threshold = 64;  ///< kAuto switch-over point
-  /// When true, repeated solves through an MnaSolveCache keep the CSR
-  /// sparsity pattern and the sparse-LU pivot ordering across frequencies
-  /// and parametric (value-only) faults, doing numeric-only refactorization
-  /// per point.  kDense is unaffected (dense LU has no reusable analysis).
-  bool cache_factorization = true;
   /// When true, AC fault campaigns run an adjoint sensitivity screen ahead
   /// of the frequency-major fault loop: one SparseLu::SolveTranspose per
   /// (config, omega) yields first-order |dT/T| estimates for every
   /// parametric fault at once, and cells whose estimate clears the
-  /// detection threshold by more than `screen_margin` (either way) skip the
+  /// detection threshold by faults::kScreenMargin (either way) skip the
   /// SMW/exact solve entirely — the detectability verdict is already
   /// decided.  Borderline cells, catastrophic faults, rank-declined stamps
-  /// and RHS-touching faults always take the exact path, so coverage
-  /// tables, omega tables and quarantine lists are bit-identical to the
-  /// unscreened run.  `mcdft analyze --no-screen` disables it.
+  /// and RHS-touching faults always take the exact path.  Meant to leave
+  /// every verdict bit-identical to the unscreened run; leapfrog is a known
+  /// exception (DESIGN.md §12).  `mcdft analyze --no-screen` disables it.
   bool sensitivity_screen = true;
-  /// Relative guard band of the sensitivity screen: a cell is only skipped
-  /// when its first-order estimate is at least this factor away from the
-  /// detection threshold (estimate * margin < threshold, or estimate >
-  /// margin * threshold with the magnitude mask cleared by an additive
-  /// budget — see faults::ScreenCell), so first-order truncation error
-  /// cannot flip a verdict.  Folded into the campaign content hash when
-  /// the screen is effective.  Must be >= 1.  The default 8x is sized by
-  /// the near-threshold fuzz test: the exact rank-1 delta is
-  /// first_order / (1 + s), and |1 + s| down to ~0.25 is observed for the
-  /// <= 25% deviations the screen accepts (faults::ScreenableFault caps
-  /// larger ones onto the exact path), so 8x doubles the worst observed
-  /// requirement.
-  double screen_margin = 8.0;
   /// Optional cross-request shared factorization cache (owned by the
   /// campaign service; see spice/factor_cache.hpp).  When set, a full
   /// factorization in MnaSolveCache first looks up a published snapshot of
@@ -70,9 +45,17 @@ struct MnaOptions {
 };
 
 /// Gate of the adjoint sensitivity screen: `options.sensitivity_screen`.
-/// Only AC sweeps on the frequency-major fault path screen; the gate (plus
-/// screen_margin) folds into the campaign content hash exactly when set.
+/// Only AC sweeps on the frequency-major fault path screen; the gate folds
+/// into the campaign content hash exactly when set.
 bool SensitivityScreenEnabled(const MnaOptions& options);
+
+/// The one dense-or-sparse size rule of one-off solves (MnaSystem::Solve,
+/// the DC operating point): dense LU up to kDenseLuMaxUnknowns unknowns,
+/// sparse Markowitz LU above.  Every bundled circuit is dense.
+inline constexpr std::size_t kDenseLuMaxUnknowns = 64;
+inline bool UseDenseLu(std::size_t unknowns) {
+  return unknowns <= kDenseLuMaxUnknowns;
+}
 
 /// Solution of one MNA solve: node voltages + branch currents with
 /// convenient accessors.
@@ -110,7 +93,7 @@ class MnaSolution {
 class MnaSystem {
  public:
   /// Index the unknowns of `netlist`.  The netlist must outlive this object.
-  explicit MnaSystem(const Netlist& netlist, MnaOptions options = {});
+  explicit MnaSystem(const Netlist& netlist);
 
   /// Total number of unknowns (node voltages + branch currents).
   std::size_t UnknownCount() const { return unknown_count_; }
@@ -134,7 +117,10 @@ class MnaSystem {
                     std::vector<std::pair<std::size_t, Complex>>& rhs_entries)
       const;
 
-  /// Assemble and solve at angular frequency `omega`.
+  /// Assemble and solve at angular frequency `omega` with a fresh
+  /// factorization (UseDenseLu).  It shares nothing with MnaSolveCache's
+  /// compiled, refactored sweep path: the reference the fast paths are
+  /// tested against.
   MnaSolution Solve(AnalysisKind kind, double omega) const;
 
   /// AC solve at frequency `hz`.
@@ -153,8 +139,6 @@ class MnaSystem {
 
   const Netlist& Circuit() const { return netlist_; }
 
-  const MnaOptions& Options() const { return options_; }
-
   /// Wrap a raw unknown vector produced by an external solve of this
   /// system's equations (used by MnaSolveCache).
   MnaSolution WrapSolution(linalg::Vector x) const {
@@ -163,7 +147,6 @@ class MnaSystem {
 
  private:
   const Netlist& netlist_;
-  MnaOptions options_;
   std::size_t node_unknowns_ = 0;
   std::size_t unknown_count_ = 0;
   std::vector<std::size_t> branch_base_;  // per element: first branch unknown
@@ -254,6 +237,11 @@ class AcStampProgram {
 /// always derived from the sweep's own first point.
 class MnaSolveCache {
  public:
+  /// `shared` (may be null) is MnaOptions::shared_factor_cache: full
+  /// factorizations look it up first and publish to it on a miss.
+  explicit MnaSolveCache(SharedFactorCache* shared = nullptr)
+      : shared_(shared) {}
+
   /// Start a sweep: forget the pivot ordering (the sparsity pattern is
   /// kept; it is a deterministic function of the stamp sequence and
   /// carries no value information) and the stamp program.  The next solve
@@ -265,11 +253,9 @@ class MnaSolveCache {
   }
 
   /// Assemble and solve `sys` at AC frequency `hz`: the sweep's first point
-  /// records the stamp program, later points replay it.  With
-  /// `sys.Options().cache_factorization` the LU refactors under the cached
-  /// pivot ordering, falling back to a full factorization whenever the
-  /// ordering is rejected; backends without a reusable CSR pattern (dense,
-  /// uncached sparse) assemble generically at every point.
+  /// records the stamp program, later points replay it.  The sparse LU
+  /// refactors under the cached pivot ordering, falling back to a full
+  /// factorization whenever the ordering is rejected.
   MnaSolution SolveAcHz(const MnaSystem& sys, double hz);
 
   /// Diagnostics: how many solves went through the numeric-only refactor
@@ -283,6 +269,7 @@ class MnaSolveCache {
   std::optional<linalg::CsrAssembly> pattern_;
   std::optional<linalg::SparseLu> lu_;
   AcStampProgram program_;
+  SharedFactorCache* shared_ = nullptr;
   bool recorded_ = false;  // program_ holds this sweep's stamps
   std::size_t refactor_count_ = 0;
   std::size_t full_factor_count_ = 0;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/lu.hpp"
 #include "linalg/sparse_lu.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -88,8 +87,8 @@ void TransientStepper::Reset() {
   for (IndState& l : inductors_) l.w = 0.0;
 }
 
-TransientAnalyzer::TransientAnalyzer(const Netlist& netlist, MnaOptions options)
-    : netlist_(netlist), options_(options) {
+TransientAnalyzer::TransientAnalyzer(const Netlist& netlist)
+    : netlist_(netlist) {
   netlist.ValidateOrThrow();
 }
 
@@ -100,7 +99,7 @@ FrequencyResponse TransientAnalyzer::Run(const TransientSpec& spec,
   static metrics::Counter& steps = metrics::GetCounter("transient.steps");
   trajectories.Add();
 
-  MnaSystem sys(netlist_, options_);
+  MnaSystem sys(netlist_);
   TransientStepper stepper(sys, netlist_, spec);
 
   FrequencyResponse r;
@@ -114,17 +113,6 @@ FrequencyResponse TransientAnalyzer::Run(const TransientSpec& spec,
     };
     return at(probe.plus) - at(probe.minus);
   };
-
-  if (options_.backend == SolverBackend::kDense) {
-    const auto dense = stepper.Matrix().ToDense();
-    for (std::size_t k = 0; k < spec.steps; ++k) {
-      steps.Add();
-      const linalg::Vector x = linalg::SolveDense(dense, stepper.NextRhs());
-      r.values.push_back(probe_value(x));
-      stepper.Advance(x);
-    }
-    return r;
-  }
 
   linalg::SparseLu lu{linalg::CsrMatrix(stepper.Matrix())};
   for (std::size_t k = 0; k < spec.steps; ++k) {

@@ -96,12 +96,13 @@ class TransientStepper {
   std::vector<IndState> inductors_;
 };
 
-/// Nominal transient analyzer: one factorization, `spec.steps` solves.
+/// Nominal transient analyzer: one sparse factorization, `spec.steps`
+/// solves.
 /// The response reuses FrequencyResponse with `freqs_hz` holding the time
 /// grid in seconds and `values` the (purely real) probe voltages.
 class TransientAnalyzer {
  public:
-  explicit TransientAnalyzer(const Netlist& netlist, MnaOptions options = {});
+  explicit TransientAnalyzer(const Netlist& netlist);
 
   /// March the step response and probe V(plus) - V(minus) per step.
   /// Throws on a singular transient system (fail-fast; the campaign path
@@ -110,7 +111,6 @@ class TransientAnalyzer {
 
  private:
   const Netlist& netlist_;
-  MnaOptions options_;
 };
 
 }  // namespace mcdft::spice

@@ -73,10 +73,24 @@ int CliArgs::GetInt(const std::string& name, int fallback) const {
   return ParseWholeInt(it->second, "option --" + name);
 }
 
-int GetEnvInt(const char* name, int fallback) {
+std::optional<std::string> CliArgs::UnknownOption(
+    const std::set<std::string>& allowed) const {
+  for (const auto& [name, value] : options_) {
+    if (allowed.count(name) == 0) return name;
+  }
+  return std::nullopt;
+}
+
+int GetEnvInt(const char* name, int fallback, int min_value) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  return ParseWholeInt(value, std::string("environment ") + name);
+  const std::string what = std::string("environment ") + name;
+  const int v = ParseWholeInt(value, what);
+  if (v < min_value) {
+    throw Error(what + ": '" + value + "' must be >= " +
+                std::to_string(min_value));
+  }
+  return v;
 }
 
 const char* EnvOverridesHelp() {
@@ -84,9 +98,12 @@ const char* EnvOverridesHelp() {
   return
       "Environment overrides (read once per process):\n"
       "  MCDFT_CACHE_MB=N  mcdftd result-cache capacity in MB; overrides\n"
-      "                    --cache-mb, 0 disables the cache\n"
+      "                    --cache-mb, 0 disables the cache; a value that\n"
+      "                    is not a whole integer >= 0 is an error (exit 2)\n"
       "  MCDFT_THREADS=N   worker threads when --threads/threads is 0\n"
-      "                    (default: the hardware thread count)\n"
+      "                    (unset or 0: the hardware thread count); a\n"
+      "                    value that is not a whole integer >= 0 is an\n"
+      "                    error (mcdft exits 1, mcdftd 2)\n"
       "  MCDFT_DEADLINE_MS=N  default `mcdft submit` deadline in ms\n"
       "                    (--deadline-ms wins); 0 = no deadline; a\n"
       "                    malformed value is an error (exit 1)\n"

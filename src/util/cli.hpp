@@ -2,7 +2,10 @@
 // benches.  Supports `--name value`, `--name=value` and boolean `--flag`.
 #pragma once
 
+#include <climits>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,7 +14,8 @@ namespace mcdft::util {
 /// Parses argv into named options and positional arguments.
 ///
 /// Unknown options are collected rather than rejected, so binaries can share
-/// a common option set and ignore what they do not use.
+/// a common option set and ignore what they do not use; a binary that must
+/// not ignore them checks UnknownOption() against the flags it reads.
 class CliArgs {
  public:
   /// Parse from main()'s argc/argv (argv[0] is skipped).
@@ -33,6 +37,11 @@ class CliArgs {
   /// integer or does not fit an int.
   int GetInt(const std::string& name, int fallback) const;
 
+  /// The first option (in name order) that is not in `allowed`, or nullopt
+  /// when every option is.
+  std::optional<std::string> UnknownOption(
+      const std::set<std::string>& allowed) const;
+
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& Positional() const { return positional_; }
 
@@ -43,9 +52,9 @@ class CliArgs {
 
 /// Integer value of environment variable `name`, or `fallback` when it is
 /// unset or empty.  Any other value must pass CliArgs::GetInt's rule (a
-/// whole decimal integer that fits an int); otherwise throws util::Error
-/// naming the variable.
-int GetEnvInt(const char* name, int fallback);
+/// whole decimal integer that fits an int) and be >= `min_value`;
+/// otherwise throws util::Error naming the variable.
+int GetEnvInt(const char* name, int fallback, int min_value = INT_MIN);
 
 /// The one table of MCDFT_* environment escape hatches, formatted for a
 /// --help epilog.  Printed by both `mcdft` and `mcdftd` (and mirrored in

@@ -1,7 +1,6 @@
 #include "util/parallel.hpp"
 
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -10,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/cli.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -115,15 +115,11 @@ std::size_t HardwareThreadCount() {
 }
 
 std::size_t DefaultThreadCount() {
+  // A throwing initializer leaves `resolved` unset, so a malformed value
+  // fails every call, never just the first.
   static const std::size_t resolved = [] {
-    if (const char* env = std::getenv("MCDFT_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) {
-        return static_cast<std::size_t>(v);
-      }
-    }
-    return HardwareThreadCount();
+    const int v = GetEnvInt("MCDFT_THREADS", 0, 0);
+    return v > 0 ? static_cast<std::size_t>(v) : HardwareThreadCount();
   }();
   return resolved;
 }

@@ -22,7 +22,8 @@ namespace mcdft::util {
 std::size_t HardwareThreadCount();
 
 /// Default worker count: MCDFT_THREADS when set to a positive integer,
-/// else HardwareThreadCount().
+/// else (unset, empty or 0) HardwareThreadCount().  Any other value throws
+/// util::Error naming the variable (util::GetEnvInt's rule, >= 0).
 std::size_t DefaultThreadCount();
 
 /// Resolve a requested thread count: 0 -> DefaultThreadCount(), else the

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <string>
 
+#include "util/error.hpp"
 #include "util/faultpoint.hpp"
 
 namespace mcdft::core {
@@ -103,10 +104,21 @@ TEST_F(ResultCacheTest, CacheCapacityFromEnvParsesAndFallsBack) {
   EXPECT_EQ(CacheCapacityFromEnv(256), std::size_t{64} << 20);
   ::setenv("MCDFT_CACHE_MB", "0", 1);  // the documented escape hatch
   EXPECT_EQ(CacheCapacityFromEnv(256), 0u);
-  ::setenv("MCDFT_CACHE_MB", "-5", 1);  // garbage -> fallback, not UB
+  ::setenv("MCDFT_CACHE_MB", "", 1);  // empty reads as unset
   EXPECT_EQ(CacheCapacityFromEnv(256), std::size_t{256} << 20);
-  ::setenv("MCDFT_CACHE_MB", "lots", 1);
-  EXPECT_EQ(CacheCapacityFromEnv(256), std::size_t{256} << 20);
+  // Anything else that is not a whole integer >= 0 is an error naming the
+  // variable, like a malformed flag — never a silent fallback.
+  for (const char* bad : {"-5", "lots", "12x"}) {
+    ::setenv("MCDFT_CACHE_MB", bad, 1);
+    try {
+      CacheCapacityFromEnv(256);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("MCDFT_CACHE_MB"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   ::unsetenv("MCDFT_CACHE_MB");
 }
 

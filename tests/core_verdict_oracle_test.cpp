@@ -2,8 +2,10 @@
 // configuration frequency-major (sparse nominal factor per frequency, SMW
 // rank-updates per fault, the retry ladder behind them).  The reference
 // here is the plainest path the library has: testability::AnalyzeFaultList
-// over a dense-backend FaultSimulator, one fail-fast fault-major sweep per
-// fault.  Both get the same configured netlist and detection criteria
+// over FaultSimulator::SimulateNominal / SimulateFault, one fail-fast
+// fault-major sweep per fault, every point assembled generically and
+// factored afresh (MnaSystem::Solve, dense LU on every zoo system).  Both
+// get the same configured netlist and detection criteria
 // (PrepareCampaignConfig), and every verdict-bearing output —
 // detectability, omega-detectability and the per-point masks — must be
 // equal on every zoo circuit and configuration.
@@ -40,8 +42,6 @@ TEST_F(VerdictOracle, CampaignMatchesDenseFaultMajorOnEveryZooCircuit) {
   options.points_per_decade = 12;
   options.tolerance->samples = 8;
   options.mna.sensitivity_screen = false;
-  spice::MnaOptions dense;
-  dense.backend = spice::SolverBackend::kDense;
 
   std::size_t compared = 0;
   for (const circuits::ZooEntry& entry : circuits::Zoo()) {
@@ -63,7 +63,7 @@ TEST_F(VerdictOracle, CampaignMatchesDenseFaultMajorOnEveryZooCircuit) {
       const PreparedConfig prepared =
           PrepareCampaignConfig(work, frame, configs[i], options);
       const faults::FaultSimulator oracle(prepared.netlist, frame.sweep,
-                                          frame.probe, dense);
+                                          frame.probe);
       const std::vector<testability::FaultDetectability> expected =
           testability::AnalyzeFaultList(oracle, fault_list, prepared.criteria);
       const ConfigResult& row = campaign.PerConfig()[i];

@@ -185,15 +185,5 @@ TEST(Simulator, WorkingCopyRestoredBetweenFaults) {
   EXPECT_NEAR(std::abs(n1.values[0] - n2.values[0]), 0.0, 1e-15);
 }
 
-TEST(Simulator, CampaignRunsAllFaults) {
-  auto nl = RcCircuit();
-  FaultSimulator sim(nl, spice::SweepSpec::Decade(10, 1e4, 5),
-                     spice::Probe{nl.FindNode("out"), spice::kGround, "v"});
-  auto campaign = sim.Run(MakeDeviationFaults(nl));
-  EXPECT_EQ(campaign.faulty.size(), 2u);
-  EXPECT_EQ(campaign.nominal.label, "nominal");
-  EXPECT_EQ(campaign.faulty[0].response.label, campaign.faulty[0].fault.Label());
-}
-
 }  // namespace
 }  // namespace mcdft::faults

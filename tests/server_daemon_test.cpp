@@ -333,7 +333,10 @@ TEST(ServerDaemon, RealBinariesSubmitShutdownRoundTrip) {
 // Out-of-range knobs stop in BuildCampaignJob, which every entry point
 // reaches: the real CLI exits 1 with a message naming the request field
 // instead of aborting on a negative sample count or wrapping a negative
-// grid density into a huge size_t.
+// grid density into a huge size_t.  A flag `analyze` does not read — the
+// retired --screen-margin and --no-lowrank, a typo of --no-screen — is a
+// usage error (exit 2) naming the flag, never silently dropped: a dropped
+// --no-screnn would run the screened campaign.
 TEST(ServerDaemon, CliRejectsOutOfRangeRequestFields) {
   const fs::path dir = fs::temp_directory_path() /
                        ("mcdft_cli_range_test_" + std::to_string(::getpid()));
@@ -344,6 +347,7 @@ TEST(ServerDaemon, CliRejectsOutOfRangeRequestFields) {
   struct Case {
     const char* flags;
     const char* field;
+    int exit_code = 1;
   };
   for (const Case c : {Case{"--samples -1", "'samples'"},
                        Case{"--samples 0", "'samples'"},
@@ -353,13 +357,15 @@ TEST(ServerDaemon, CliRejectsOutOfRangeRequestFields) {
                             "'transient_steps'"},
                        Case{"--analysis transient --t-end -1",
                             "'transient_t_end'"},
-                       Case{"--screen-margin 0.5", "'screen_margin'"},
+                       Case{"--screen-margin 0.5", "--screen-margin", 2},
+                       Case{"--no-lowrank", "--no-lowrank", 2},
+                       Case{"--no-screnn", "--no-screnn", 2},
                        Case{"--eps abc", "--eps"},
                        Case{"--ppd 12x", "--ppd"},
                        Case{"--samples abc", "--samples"}}) {
     EXPECT_EQ(RunCmd(cli + " analyze --circuit biquad " + c.flags +
                      " > /dev/null 2> " + err),
-              1)
+              c.exit_code)
         << c.flags;
     const std::string message = ReadBytes(err);
     EXPECT_NE(message.find(c.field), std::string::npos)
@@ -397,6 +403,30 @@ TEST(ServerDaemon, MalformedEnvIntegersFailLikeBadFlags) {
               1)
         << value;
     EXPECT_NE(ReadBytes(err).find("MCDFT_DEADLINE_MS"), std::string::npos)
+        << value << ": " << ReadBytes(err);
+  }
+  // MCDFT_CACHE_MB and MCDFT_THREADS read "unset, empty or 0" as their
+  // default and nothing else leniently: a negative or malformed value
+  // stops mcdftd before it binds and `mcdft analyze` before it runs.
+  // Malformed strings only — a large thread count would start threads.
+  for (const char* value : {"abc", "12x", "-3"}) {
+    const std::string quoted = std::string("'") + value + "' ";
+    for (const char* var : {"MCDFT_CACHE_MB", "MCDFT_THREADS"}) {
+      EXPECT_EQ(RunCmd(std::string(var) + "=" + quoted + "timeout 20 " +
+                       MCDFT_MCDFTD_BIN + " --socket " + sock +
+                       " > /dev/null 2> " + err),
+                2)
+          << var << "=" << value;
+      EXPECT_NE(ReadBytes(err).find(var), std::string::npos)
+          << var << "=" << value << ": " << ReadBytes(err);
+      EXPECT_FALSE(fs::exists(sock)) << var << "=" << value;
+    }
+    EXPECT_EQ(RunCmd("MCDFT_THREADS=" + quoted + MCDFT_CLI_BIN +
+                     " analyze --circuit biquad --ppd 4 --samples 4"
+                     " > /dev/null 2> " + err),
+              1)
+        << value;
+    EXPECT_NE(ReadBytes(err).find("MCDFT_THREADS"), std::string::npos)
         << value << ": " << ReadBytes(err);
   }
   fs::remove_all(dir);

@@ -13,11 +13,9 @@ namespace {
 /// Max |cached - scratch| over a sweep, scaled by the scratch magnitude.
 void ExpectSweepMatchesScratch(const Netlist& nl, const SweepSpec& sweep,
                                const Probe& probe) {
-  AcAnalyzer cached(nl);  // cache_factorization defaults on
+  AcAnalyzer cached(nl);
   const FrequencyResponse r = cached.Run(sweep, probe);
-  MnaOptions scratch_options;
-  scratch_options.cache_factorization = false;
-  const MnaSystem scratch(nl, scratch_options);
+  const MnaSystem scratch(nl);  // fresh assembly + factorization per point
   for (std::size_t i = 0; i < sweep.PointCount(); ++i) {
     const Complex ref = scratch.SolveAcHz(sweep.Frequencies()[i])
                             .VoltageBetween(probe.plus, probe.minus);
@@ -161,9 +159,7 @@ TEST(SolverReuse, SurvivesFaultInjectionValueMutation) {
       EXPECT_EQ(faulted_reused.values[i], faulted_fresh.values[i]);
     }
     // And matches the non-cached scratch solver to 1e-12.
-    MnaOptions scratch_options;
-    scratch_options.cache_factorization = false;
-    const MnaSystem scratch(nl, scratch_options);
+    const MnaSystem scratch(nl);
     for (std::size_t i = 0; i < sweep.PointCount(); ++i) {
       const Complex ref = scratch.SolveAcHz(sweep.Frequencies()[i])
                               .VoltageBetween(probe.plus, probe.minus);

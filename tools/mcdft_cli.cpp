@@ -38,10 +38,6 @@
 //                              cells; results are meant to be identical
 //                              either way (not on leapfrog: see DESIGN.md
 //                              "Adjoint sensitivity screen")
-//   --screen-margin X          screen guard band (>= 1, default 8): only
-//                              cells whose first-order estimate clears the
-//                              threshold by X in either direction are
-//                              skipped; the rest are solved exactly
 //   --report FILE              write a JSON run report (timings, solver
 //                              statistics, per-config coverage)
 //
@@ -51,9 +47,13 @@
 //   --checkpoint DIR           write/resume shard-<i>of<N>.json checkpoints
 //                              in DIR (atomic rename + fsync per unit)
 //
+// Each subcommand accepts only the flags it reads; any other flag (a typo,
+// a retired knob) is a usage error naming the flag.
+//
 // Exit codes:
 //   0  success
-//   1  runtime error (solver, parse, checkpoint manifest mismatch, ...)
+//   1  runtime error (solver, parse, checkpoint manifest mismatch, a
+//      malformed MCDFT_* integer, ...)
 //   2  usage error
 //   3  campaign completed but quarantined >=1 (fault, omega) cell after
 //      exhausting the retry ladder (results degraded, see DESIGN.md
@@ -78,6 +78,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -95,6 +96,7 @@
 #include "spice/parser.hpp"
 #include "util/cancel.hpp"
 #include "util/cli.hpp"
+#include "util/parallel.hpp"
 #include "util/socket.hpp"
 #include "util/strings.hpp"
 
@@ -124,7 +126,6 @@ core::server::CampaignRequest RequestFromArgs(const util::CliArgs& args) {
   r.ppd = args.GetInt("ppd", r.ppd);
   r.max_followers = args.GetInt("max-followers", r.max_followers);
   r.screen = !args.Has("no-screen");
-  r.screen_margin = args.GetDouble("screen-margin", r.screen_margin);
   r.analysis = args.GetString("analysis", r.analysis);
   r.fault_universe = args.GetString("faults", r.fault_universe);
   r.transient_t_end = args.GetDouble("t-end", r.transient_t_end);
@@ -500,7 +501,7 @@ int CmdSubmit(const util::CliArgs& args) {
                  "         [--samples N] [--ppd N] [--max-followers K]\n"
                  "         [--analysis ac|transient] [--faults UNIVERSE]\n"
                  "         [--t-end SECONDS] [--steps N]\n"
-                 "         [--no-screen] [--screen-margin X] [--threads N]\n"
+                 "         [--no-screen] [--threads N]\n"
                  "         [--priority N] [--extra-fault DEV:KIND:MAG,...]\n"
                  "         [--deadline-ms N] [--retries N] [--request-id ID]\n"
                  "         [--report FILE]\n"
@@ -675,7 +676,8 @@ void PrintUsage() {
       "             [--samples N] [--ppd N] [--max-followers K] [--preselect]\n"
       "             [--analysis ac|transient] [--faults deviation|\n"
       "              catastrophic|both] [--t-end SECONDS] [--steps N]\n"
-      "             [--no-screen] [--screen-margin X] [--report FILE]\n"
+      "             [--no-screen] [--report FILE]\n"
+      "             [bode: --fstart HZ --fstop HZ --ppd N]\n"
       "             [analyze: --shard i/N --checkpoint DIR]\n"
       "             [merge: --checkpoint DIR]\n"
       "             [plan: --sopt --magnitude-only --exact]\n"
@@ -688,6 +690,34 @@ void PrintUsage() {
       util::EnvOverridesHelp());
 }
 
+/// The flags subcommand `cmd` reads, or nullopt for an unknown subcommand.
+/// Any other flag is a usage error: it would otherwise be dropped silently.
+std::optional<std::set<std::string>> FlagsOf(const std::string& cmd) {
+  if (cmd == "list") return std::set<std::string>{};
+  if (cmd == "merge") return std::set<std::string>{"checkpoint", "report"};
+  std::set<std::string> flags = {"circuit", "deck"};  // circuit selection
+  if (cmd == "opamp-test") return flags;
+  if (cmd == "bode") {
+    flags.insert({"fstart", "fstop", "ppd"});
+    return flags;
+  }
+  // RequestFromArgs, plus --report (a run report, or submit's reply).
+  flags.insert({"eps", "tol", "samples", "ppd", "max-followers", "no-screen",
+                "analysis", "faults", "t-end", "steps", "report"});
+  if (cmd == "submit") {
+    flags.insert({"socket", "tcp", "threads", "priority", "extra-fault",
+                  "deadline-ms", "retries", "request-id", "ping", "stats",
+                  "shutdown", "cancel"});
+    return flags;
+  }
+  flags.insert("preselect");  // MakeSession
+  if (cmd == "analyze") flags.insert({"shard", "checkpoint"});
+  else if (cmd == "plan") flags.insert({"sopt", "magnitude-only", "exact"});
+  else if (cmd == "diagnose") flags.insert("levels");
+  else if (cmd != "optimize") return std::nullopt;
+  return flags;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -697,7 +727,22 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string& cmd = args.Positional()[0];
+  const std::optional<std::set<std::string>> flags = FlagsOf(cmd);
+  if (!flags) {
+    std::fprintf(stderr, "unknown subcommand '%s'\n\n", cmd.c_str());
+    PrintUsage();
+    return 2;
+  }
+  if (const std::optional<std::string> flag = args.UnknownOption(*flags)) {
+    std::fprintf(stderr, "error: '%s' does not take --%s\n\n", cmd.c_str(),
+                 flag->c_str());
+    PrintUsage();
+    return 2;
+  }
   try {
+    // Latch MCDFT_THREADS up front: a malformed value stops the run here,
+    // like a bad flag, instead of inside the first parallel section.
+    util::DefaultThreadCount();
     if (cmd == "list") return CmdList();
     if (cmd == "bode") return CmdBode(args);
     if (cmd == "analyze") return CmdAnalyze(args);
@@ -706,10 +751,7 @@ int main(int argc, char** argv) {
     if (cmd == "plan") return CmdPlan(args);
     if (cmd == "diagnose") return CmdDiagnose(args);
     if (cmd == "opamp-test") return CmdOpampTest(args);
-    if (cmd == "submit") return CmdSubmit(args);
-    std::fprintf(stderr, "unknown subcommand '%s'\n\n", cmd.c_str());
-    PrintUsage();
-    return 2;
+    return CmdSubmit(args);
   } catch (const util::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

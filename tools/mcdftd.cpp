@@ -11,7 +11,8 @@
 // content-addressed cache (memory LRU + optional disk spill under
 // --cache-dir) so a repeated request returns byte-identical results
 // without recomputing.  MCDFT_CACHE_MB overrides --cache-mb; 0 disables
-// the result cache entirely.
+// the result cache entirely.  A malformed MCDFT_CACHE_MB, MCDFT_THREADS or
+// MCDFT_IO_TIMEOUT_MS stops the daemon before it binds, like a bad flag.
 //
 // Stops cleanly on SIGINT/SIGTERM or a client's {"op":"shutdown"}.
 //
@@ -27,6 +28,7 @@
 
 #include "core/server/daemon.hpp"
 #include "util/cli.hpp"
+#include "util/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcdft;
@@ -69,6 +71,9 @@ int main(int argc, char** argv) {
     daemon_options.io_timeout_ms = util::GetEnvInt(
         "MCDFT_IO_TIMEOUT_MS", args.GetInt("io-timeout-ms", 30'000));
     tcp_port = args.GetInt("tcp", 0);
+    // Latch MCDFT_THREADS now: a malformed value must stop the daemon
+    // here, not inside its first campaign.
+    util::DefaultThreadCount();
   } catch (const util::Error& e) {
     std::fprintf(stderr, "mcdftd: %s\n", e.what());
     return 2;
