@@ -23,7 +23,7 @@ std::size_t CacheCapacityFromEnv(std::size_t fallback_mb) {
 
 ResultCache::ResultCache(ResultCacheOptions options)
     : options_(std::move(options)),
-      memory_(options_.capacity_bytes, options_.stripes) {}
+      memory_(options_.capacity_bytes) {}
 
 std::string ResultCache::DiskPathOf(const std::string& key) const {
   if (options_.disk_dir.empty()) return "";

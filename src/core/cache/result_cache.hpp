@@ -45,7 +45,6 @@ struct ResultCacheOptions {
   /// Memory-tier cap in bytes; 0 disables both tiers (every Lookup
   /// misses, every Store is dropped).
   std::size_t capacity_bytes = 256u << 20;
-  std::size_t stripes = 8;
   /// Spill directory for the disk tier; empty = memory-only.  Created by
   /// the caller (the daemon), not by the cache.
   std::string disk_dir;

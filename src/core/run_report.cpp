@@ -163,10 +163,10 @@ json::Value CampaignRunRecorder::Finish(const CampaignResult& campaign,
   enable_.reset();  // restore the pre-recorder enable state
 
   json::Value report = json::Value::Object();
-  // Schema /8: the batched fault-solve section and the environment echoes
-  // of the deleted engine gates are gone.  (/7 added the request-lifecycle
-  // counters.)
-  report.Set("schema", json::Value::Str("mcdft.run_report/8"));
+  // Schema /9: the always-zero `solver.mna` dense/uncached counters and the
+  // `solver.dc` group are gone.  (/8 dropped the batched fault-solve section
+  // and the engine-gate echoes; /7 added the request-lifecycle counters.)
+  report.Set("schema", json::Value::Str("mcdft.run_report/9"));
   report.Set("tool", json::Value::Str(options.tool));
   if (!options.circuit.empty()) {
     report.Set("circuit", json::Value::Str(options.circuit));
@@ -190,8 +190,6 @@ json::Value CampaignRunRecorder::Finish(const CampaignResult& campaign,
   solver.Set("sparse_lu", CounterGroup(delta, "linalg.sparse_lu"));
   solver.Set("smw", CounterGroup(delta, "linalg.smw"));
   solver.Set("mna", CounterGroup(delta, "spice.mna"));
-  // Schema /5: DC operating-point diagnostics (gmin regularization ladder).
-  solver.Set("dc", CounterGroup(delta, "spice.dc"));
   const metrics::HistogramSample fill =
       delta.HistogramOf("linalg.sparse_lu.fill_nnz");
   if (fill.count > 0) {

@@ -4,7 +4,7 @@
 // metrics/trace registries, enables instrumentation, and — once the caller
 // hands back the CampaignResult — folds the metric deltas, per-phase
 // timings, per-configuration coverage summaries and environment facts into
-// one JSON document (schema "mcdft.run_report/8", documented in DESIGN.md
+// one JSON document (schema "mcdft.run_report/9", documented in DESIGN.md
 // "Observability").
 //
 // The recorder only ever *adds* observability: it restores the previous

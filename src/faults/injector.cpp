@@ -4,19 +4,6 @@
 
 namespace mcdft::faults {
 
-spice::Netlist InjectFault(const spice::Netlist& golden, const Fault& fault) {
-  spice::Netlist faulty = golden.Clone();
-  fault.ApplyTo(faulty);
-  return faulty;
-}
-
-spice::Netlist InjectFaults(const spice::Netlist& golden,
-                            const std::vector<Fault>& faults) {
-  spice::Netlist faulty = golden.Clone();
-  for (const auto& f : faults) f.ApplyTo(faulty);
-  return faulty;
-}
-
 ScopedFaultInjection::ScopedFaultInjection(spice::Netlist& netlist,
                                            const Fault& fault)
     : ScopedFaultInjection(netlist.GetElement(fault.Device()), fault) {}

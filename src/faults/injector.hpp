@@ -1,4 +1,4 @@
-// Fault injection: create faulty circuit instances from a golden netlist.
+// Fault injection: apply a fault to a netlist in place and restore it.
 #pragma once
 
 #include <optional>
@@ -8,18 +8,11 @@
 
 namespace mcdft::faults {
 
-/// Return a deep copy of `golden` with `fault` applied.
-spice::Netlist InjectFault(const spice::Netlist& golden, const Fault& fault);
-
-/// Return a deep copy with several simultaneous faults (multiple-fault
-/// analysis; the paper's single-fault assumption is the list size 1 case).
-spice::Netlist InjectFaults(const spice::Netlist& golden,
-                            const std::vector<Fault>& faults);
-
-/// In-place injector that avoids a netlist clone per fault: it remembers
-/// the original value of the target element, applies the fault, and
-/// restores on Revert() (or destruction).  Used by the campaign driver in
-/// the hot loop.
+/// In-place injector (no netlist clone per fault): it remembers the
+/// original value of the target element, applies the fault, and restores
+/// on Revert() (or destruction).  Injections on different
+/// elements stack (multiple-fault analysis); the paper's single-fault
+/// assumption is one injection at a time.
 class ScopedFaultInjection {
  public:
   /// Apply `fault` to `netlist` (kept by reference; must outlive this).

@@ -507,57 +507,30 @@ class TransientBlock {
   TransientBlock(const spice::Netlist& base, const spice::TransientSpec& spec)
       : local_(base.Clone()), sys_(local_), spec_(spec) {}
 
-  /// March the nominal trajectory into `values` (sized spec.steps).
-  /// Returns the first bad step index (spec.steps == clean); a singular
-  /// sparse factorization is retried densely before giving up.
-  std::size_t MarchNominal(const spice::Probe& probe,
-                           std::vector<linalg::Complex>& values) {
+  /// March one trajectory into `values` (sized spec.steps) and return its
+  /// first bad step index (spec.steps == clean).  With `fault` null this is
+  /// the nominal trajectory; otherwise `fault` is injected for the
+  /// stepper's construction, which captures the faulty values and matrix.
+  /// Factorization ladder: Markowitz sparse, then jittered pivot, then
+  /// dense.
+  std::size_t March(const spice::Probe& probe,
+                    std::vector<linalg::Complex>& values,
+                    const Fault* fault = nullptr) {
     TrajectoryCounter().Add();
-    spice::TransientStepper stepper(sys_, local_, spec_);
-    std::optional<linalg::SparseLu> lu;
-    try {
-      lu.emplace(linalg::CsrMatrix(stepper.Matrix()));
-    } catch (const util::Error&) {
-      RetryCounter().Add();
-    }
-    if (lu) {
-      return MarchLoop(stepper, probe, values, [&](const linalg::Vector& b) {
-        return lu->Solve(b);
-      });
-    }
-    // Sparse factorization failed: dense fallback.
-    std::optional<linalg::Matrix> dense;
-    try {
-      dense = stepper.Matrix().ToDense();
-    } catch (const util::Error&) {
-      return 0;
-    }
-    return MarchLoop(stepper, probe, values, [&](const linalg::Vector& b) {
-      return linalg::SolveDense(*dense, b);
-    });
-  }
-
-  /// March fault `fault` (pre-resolved `element`) into `values`: injection
-  /// + fresh assembly + own factorization (sparse, then jittered-pivot,
-  /// then dense), marched from t = 0.  Returns the first bad step index.
-  std::size_t MarchFault(const Fault& fault, spice::Element& element,
-                         const spice::Probe& probe,
-                         std::vector<linalg::Complex>& values) {
-    TrajectoryCounter().Add();
-    // The injection only needs to cover stepper construction: values (and
-    // the faulty matrix) are captured there.
+    spice::Element* element =
+        fault != nullptr ? &local_.GetElement(fault->Device()) : nullptr;
     std::optional<spice::TransientStepper> stepper;
     try {
-      ScopedFaultInjection injection(element, fault);
+      std::optional<ScopedFaultInjection> injection;
+      if (fault != nullptr) injection.emplace(*element, *fault);
       stepper.emplace(sys_, local_, spec_);
     } catch (const util::Error&) {
-      // The faulty value is unrepresentable or cannot assemble: nothing
-      // to factor — quarantine the whole trajectory.
+      // The faulty value is unrepresentable or the system cannot assemble:
+      // nothing to factor — quarantine the whole trajectory.
       RetryCounter().Add();
       return 0;
     }
 
-    // Factorization ladder over the faulty companion matrix.
     std::optional<linalg::SparseLu> lu;
     std::optional<linalg::Matrix> dense;
     try {
@@ -576,36 +549,21 @@ class TransientBlock {
         }
       }
     }
-    if (lu) {
-      return MarchLoop(*stepper, probe, values, [&](const linalg::Vector& b) {
-        return lu->Solve(b);
-      });
-    }
-    return MarchLoop(*stepper, probe, values, [&](const linalg::Vector& b) {
-      return linalg::SolveDense(*dense, b);
-    });
-  }
-
-  spice::Netlist local_;
-
- private:
-  /// Shared per-step loop: solve, probe, advance.  Returns the first bad
-  /// step: one that throws or probes a non-finite value.
-  template <typename Solver>
-  std::size_t MarchLoop(spice::TransientStepper& stepper,
-                        const spice::Probe& probe,
-                        std::vector<linalg::Complex>& values, Solver solve) {
+    // Per step: solve, probe, advance.  The first step that throws or
+    // probes a non-finite value is the trajectory's first bad step.
     for (std::size_t k = 0; k < spec_.steps; ++k) {
       StepCounter().Add();
       try {
-        const linalg::Vector x = solve(stepper.NextRhs());
+        const linalg::Vector& b = stepper->NextRhs();
+        const linalg::Vector x =
+            lu ? lu->Solve(b) : linalg::SolveDense(*dense, b);
         const linalg::Complex v = ProbeValue(probe, x);
         if (!Finite(v)) {
           RetryCounter().Add();
           return k;
         }
         values[k] = v;
-        stepper.Advance(x);
+        stepper->Advance(x);
       } catch (const util::Error&) {
         RetryCounter().Add();
         return k;
@@ -614,6 +572,7 @@ class TransientBlock {
     return spec_.steps;
   }
 
+ private:
   static metrics::Counter& TrajectoryCounter() {
     static metrics::Counter& c = metrics::GetCounter("transient.trajectories");
     return c;
@@ -623,6 +582,7 @@ class TransientBlock {
     return c;
   }
 
+  spice::Netlist local_;
   spice::MnaSystem sys_;
   spice::TransientSpec spec_;
 };
@@ -653,10 +613,10 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
     r.values.assign(points, linalg::Complex(0.0, 0.0));
   }
 
-  // Nominal trajectory (serial; a trajectory has no parallel axis).
+  // Nominal trajectory: the march's no-fault case (serial; a trajectory
+  // has no parallel axis).
   TransientBlock nominal_block(work_, spec);
-  const std::size_t nominal_good =
-      nominal_block.MarchNominal(probe_, out[0].values);
+  const std::size_t nominal_good = nominal_block.March(probe_, out[0].values);
 
   // Per-slot first-bad-step indices; slot j is written by exactly one
   // worker block, so no synchronization is needed.
@@ -665,10 +625,8 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateTransientRange(
       threads, count, [&](std::size_t begin, std::size_t end) {
         TransientBlock block(work_, spec);
         for (std::size_t j = begin; j < end; ++j) {
-          const Fault& fault = faults[fault_begin + j];
-          spice::Element& element = block.local_.GetElement(fault.Device());
-          first_bad[j] =
-              block.MarchFault(fault, element, probe_, out[1 + j].values);
+          first_bad[j] = block.March(probe_, out[1 + j].values,
+                                    &faults[fault_begin + j]);
         }
       });
 

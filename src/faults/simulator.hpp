@@ -76,16 +76,18 @@ class FaultSimulator {
   /// [fault_begin, fault_end), in the same slot layout (`freqs_hz` carries
   /// the time grid in seconds; values are purely real).
   ///
-  /// The path is fault-major — a trajectory is sequential in time, so the
-  /// parallel axis is the fault range.  Each worker block owns a netlist
-  /// clone; every fault re-marches exactly from t = 0 under
+  /// This is the one transient march: the nominal trajectory is its
+  /// no-fault case.  The path is fault-major — a trajectory is sequential
+  /// in time, so the parallel axis is the fault range.  Each worker block
+  /// owns a netlist clone; every fault re-marches exactly from t = 0 under
   /// ScopedFaultInjection with its own factorization (no low-rank
   /// solves).  Every value is a pure function of (netlist values, fault,
   /// spec), so results — including quarantine masks — are bit-identical
   /// at any thread or shard count.
   ///
-  /// A trajectory that fails at step k (after sparse -> jittered-pivot ->
-  /// dense escalation) is quarantined from k to the end; a nominal failure
+  /// Every trajectory, nominal included, factors through one ladder
+  /// (Markowitz sparse -> jittered pivot -> dense).  A trajectory that
+  /// fails at step k is quarantined from k to the end; a nominal failure
   /// at step k quarantines every slot from k.
   std::vector<spice::FrequencyResponse> SimulateTransientRange(
       const std::vector<Fault>& faults, std::size_t fault_begin,

@@ -11,9 +11,8 @@ namespace mcdft::spice {
 namespace metrics = util::metrics;
 namespace faultpoint = util::faultpoint;
 
-SharedFactorCache::SharedFactorCache(std::size_t capacity_bytes,
-                                     std::size_t stripes)
-    : cache_(capacity_bytes, stripes) {}
+SharedFactorCache::SharedFactorCache(std::size_t capacity_bytes)
+    : cache_(capacity_bytes) {}
 
 std::string SharedFactorCache::KeyOf(const linalg::CsrMatrix& m) {
   const auto& row_ptr = m.RowPointers();

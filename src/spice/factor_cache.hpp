@@ -35,8 +35,7 @@ class SharedFactorCache {
  public:
   /// `capacity_bytes` caps resident factor snapshots (approximate byte
   /// accounting); 0 disables the cache.
-  explicit SharedFactorCache(std::size_t capacity_bytes,
-                             std::size_t stripes = 8);
+  explicit SharedFactorCache(std::size_t capacity_bytes);
 
   /// Content key of an assembled system: dimensions + sparsity pattern +
   /// values, FNV-1a digested.

@@ -499,23 +499,22 @@ MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
   const double omega = 2.0 * std::numbers::pi * hz;
 
   // The sweep's first point records the stamp program and checks the
-  // pattern once; every later point is the program's flat value refresh,
-  // then a numeric-only refactorization under the stored pivot ordering.
+  // pattern once.  Every point, the first included, takes its values from
+  // the program, so a freshly built pattern and a reused one hold the same
+  // bits; then a numeric-only refactorization under the stored pivot
+  // ordering.
   if (!recorded_) {
     program_records.Add();
     program_.Record(sys, omega, a_, rhs_);
-    const bool reuse = pattern_ && pattern_->Matches(a_);
-    if (!reuse) {
+    if (!pattern_ || !pattern_->Matches(a_)) {
       pattern_rebuild.Add();
       pattern_.emplace(a_);  // structure changed (or first solve)
       lu_.reset();
     }
     program_.Bind(*pattern_);
-    if (reuse) program_.Evaluate(omega, *pattern_, rhs_);
     recorded_ = true;
-  } else {
-    program_.Evaluate(omega, *pattern_, rhs_);
   }
+  program_.Evaluate(omega, *pattern_, rhs_);
   const linalg::CsrMatrix& m = pattern_->Matrix();
   if (lu_ && lu_->Refactor(m)) {
     refactor_hit.Add();

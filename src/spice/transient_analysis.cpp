@@ -2,13 +2,9 @@
 
 #include <cmath>
 
-#include "linalg/sparse_lu.hpp"
 #include "util/error.hpp"
-#include "util/metrics.hpp"
 
 namespace mcdft::spice {
-
-namespace metrics = util::metrics;
 
 std::vector<double> TransientSpec::Times() const {
   if (steps == 0 || !(t_end_s > 0.0) || !std::isfinite(t_end_s)) {
@@ -80,48 +76,6 @@ void TransientStepper::Advance(const linalg::Vector& x) {
     const double i = x[l.branch_row].real();
     l.w = 2.0 * l.req * i - l.w;
   }
-}
-
-void TransientStepper::Reset() {
-  for (CapState& c : caps_) c.ieq = 0.0;
-  for (IndState& l : inductors_) l.w = 0.0;
-}
-
-TransientAnalyzer::TransientAnalyzer(const Netlist& netlist)
-    : netlist_(netlist) {
-  netlist.ValidateOrThrow();
-}
-
-FrequencyResponse TransientAnalyzer::Run(const TransientSpec& spec,
-                                         const Probe& probe) const {
-  static metrics::Counter& trajectories =
-      metrics::GetCounter("transient.trajectories");
-  static metrics::Counter& steps = metrics::GetCounter("transient.steps");
-  trajectories.Add();
-
-  MnaSystem sys(netlist_);
-  TransientStepper stepper(sys, netlist_, spec);
-
-  FrequencyResponse r;
-  r.freqs_hz = spec.Times();
-  r.values.reserve(spec.steps);
-  r.label = probe.label;
-
-  const auto probe_value = [&](const linalg::Vector& x) {
-    const auto at = [&](NodeId node) {
-      return node == kGround ? Complex(0.0, 0.0) : x[node - 1];
-    };
-    return at(probe.plus) - at(probe.minus);
-  };
-
-  linalg::SparseLu lu{linalg::CsrMatrix(stepper.Matrix())};
-  for (std::size_t k = 0; k < spec.steps; ++k) {
-    steps.Add();
-    const linalg::Vector x = lu.Solve(stepper.NextRhs());
-    r.values.push_back(probe_value(x));
-    stepper.Advance(x);
-  }
-  return r;
 }
 
 }  // namespace mcdft::spice

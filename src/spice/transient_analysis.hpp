@@ -5,7 +5,9 @@
 // trapezoidal companion conductance G_eq = 2C/h and every inductor its
 // companion resistance R_eq = 2L/h, so the system matrix G + (2/h)C is
 // built once per trajectory and factored once — the per-step work is a
-// history-current RHS refresh plus one triangular solve.
+// history-current RHS refresh plus one triangular solve.  The one march
+// over these pieces is faults::FaultSimulator::SimulateTransientRange: the
+// nominal trajectory is its no-fault slot.
 //
 // Discretization (trapezoidal / bilinear, fixed step h = t_end/steps):
 //   capacitor  i = C dv/dt   ->  i_{n+1} = G_eq v_{n+1} - I_eq,n
@@ -25,7 +27,6 @@
 
 #include <vector>
 
-#include "spice/ac_analysis.hpp"
 #include "spice/mna.hpp"
 
 namespace mcdft::spice {
@@ -70,9 +71,6 @@ class TransientStepper {
   /// was produced by the last NextRhs().
   void Advance(const linalg::Vector& x);
 
-  /// Rewind to the zero initial state (t = 0).
-  void Reset();
-
  private:
   struct CapState {
     std::size_t p_row;  ///< unknown index of the + node (kNoRow = ground)
@@ -94,23 +92,6 @@ class TransientStepper {
   linalg::Vector rhs_;       // per-step working RHS
   std::vector<CapState> caps_;
   std::vector<IndState> inductors_;
-};
-
-/// Nominal transient analyzer: one sparse factorization, `spec.steps`
-/// solves.
-/// The response reuses FrequencyResponse with `freqs_hz` holding the time
-/// grid in seconds and `values` the (purely real) probe voltages.
-class TransientAnalyzer {
- public:
-  explicit TransientAnalyzer(const Netlist& netlist);
-
-  /// March the step response and probe V(plus) - V(minus) per step.
-  /// Throws on a singular transient system (fail-fast; the campaign path
-  /// in FaultSimulator adds the retry/quarantine ladder).
-  FrequencyResponse Run(const TransientSpec& spec, const Probe& probe) const;
-
- private:
-  const Netlist& netlist_;
 };
 
 }  // namespace mcdft::spice

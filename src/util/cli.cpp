@@ -10,9 +10,10 @@ namespace mcdft::util {
 
 namespace {
 
-/// The whole of `text` as a decimal int; `what` names the source in the
-/// error ("option --ppd", "environment MCDFT_DEADLINE_MS").
-int ParseWholeInt(const std::string& text, const std::string& what) {
+/// The whole of `text` as a decimal int >= `min_value`; `what` names the
+/// source in the error ("option --ppd", "environment MCDFT_DEADLINE_MS").
+int ParseWholeInt(const std::string& text, const std::string& what,
+                  int min_value) {
   const char* last = text.data() + text.size();
   int v = 0;
   const auto [end, ec] = std::from_chars(text.data(), last, v);
@@ -21,6 +22,10 @@ int ParseWholeInt(const std::string& text, const std::string& what) {
   }
   if (ec != std::errc() || end != last) {
     throw Error(what + ": '" + text + "' is not an integer");
+  }
+  if (v < min_value) {
+    throw Error(what + ": '" + text + "' must be >= " +
+                std::to_string(min_value));
   }
   return v;
 }
@@ -67,10 +72,11 @@ double CliArgs::GetDouble(const std::string& name, double fallback) const {
   return v;
 }
 
-int CliArgs::GetInt(const std::string& name, int fallback) const {
+int CliArgs::GetInt(const std::string& name, int fallback,
+                    int min_value) const {
   auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return ParseWholeInt(it->second, "option --" + name);
+  return ParseWholeInt(it->second, "option --" + name, min_value);
 }
 
 std::optional<std::string> CliArgs::UnknownOption(
@@ -84,13 +90,7 @@ std::optional<std::string> CliArgs::UnknownOption(
 int GetEnvInt(const char* name, int fallback, int min_value) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  const std::string what = std::string("environment ") + name;
-  const int v = ParseWholeInt(value, what);
-  if (v < min_value) {
-    throw Error(what + ": '" + value + "' must be >= " +
-                std::to_string(min_value));
-  }
-  return v;
+  return ParseWholeInt(value, std::string("environment ") + name, min_value);
 }
 
 const char* EnvOverridesHelp() {

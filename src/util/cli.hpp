@@ -34,8 +34,9 @@ class CliArgs {
 
   /// Integer value of `--name`, or `fallback` when absent.  Throws
   /// util::Error naming the flag when the whole value is not a decimal
-  /// integer or does not fit an int.
-  int GetInt(const std::string& name, int fallback) const;
+  /// integer, does not fit an int, or is below `min_value`.
+  int GetInt(const std::string& name, int fallback,
+             int min_value = INT_MIN) const;
 
   /// The first option (in name order) that is not in `allowed`, or nullopt
   /// when every option is.
@@ -52,7 +53,7 @@ class CliArgs {
 
 /// Integer value of environment variable `name`, or `fallback` when it is
 /// unset or empty.  Any other value must pass CliArgs::GetInt's rule (a
-/// whole decimal integer that fits an int) and be >= `min_value`;
+/// whole decimal integer that fits an int and is >= `min_value`);
 /// otherwise throws util::Error naming the variable.
 int GetEnvInt(const char* name, int fallback, int min_value = INT_MIN);
 

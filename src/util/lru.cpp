@@ -37,19 +37,11 @@ std::shared_ptr<void> ShardedLruCache::Get(const std::string& key) {
 bool ShardedLruCache::MakeRoom(Stripe& s, std::size_t need) {
   if (need > stripe_capacity_) return false;
   while (s.bytes + need > stripe_capacity_) {
-    // Walk from the LRU tail, skipping pinned entries.
-    auto victim = s.lru.end();
-    for (auto it = s.lru.rbegin(); it != s.lru.rend(); ++it) {
-      if (it->pins == 0) {
-        victim = std::prev(it.base());
-        break;
-      }
-    }
-    if (victim == s.lru.end()) return false;  // everything resident is pinned
-    s.bytes -= victim->bytes;
+    const Entry& victim = s.lru.back();
+    s.bytes -= victim.bytes;
     ++s.evictions;
-    s.index.erase(victim->key);
-    s.lru.erase(victim);
+    s.index.erase(victim.key);
+    s.lru.pop_back();
   }
   return true;
 }
@@ -60,30 +52,10 @@ bool ShardedLruCache::Put(const std::string& key, std::shared_ptr<void> value,
   std::lock_guard<std::mutex> lock(s.m);
   const auto it = s.index.find(key);
   if (it != s.index.end()) {
-    if (it->second->pins > 0) {
-      // Pinned overwrite in place: release the old bytes, then make room.
-      // MakeRoom skips pinned entries, so the node being updated can never
-      // be chosen as its own eviction victim here.
-      s.bytes -= it->second->bytes;
-      if (!MakeRoom(s, bytes)) {
-        // The new value does not fit; keep serving the pinned stale entry
-        // and restore its accounting.
-        s.bytes += it->second->bytes;
-        ++s.rejected;
-        return false;
-      }
-      it->second->value = std::move(value);
-      it->second->bytes = bytes;
-      s.bytes += bytes;
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
-      ++s.insertions;
-      return true;
-    }
-    // Unpinned overwrite: drop the old entry up front and fall through to
-    // the fresh-insert path.  Calling MakeRoom while the node is still in
-    // the LRU list would let it evict the entry under update (it may be
-    // the unpinned tail), double-subtracting its bytes and leaving `it`
-    // dangling.
+    // Overwrite: drop the old entry up front.  Calling MakeRoom while the
+    // node is still in the LRU list would let it evict the entry under
+    // update (it may be the tail), double-subtracting its bytes and leaving
+    // `it` dangling.
     s.bytes -= it->second->bytes;
     s.lru.erase(it->second);
     s.index.erase(it);
@@ -92,56 +64,11 @@ bool ShardedLruCache::Put(const std::string& key, std::shared_ptr<void> value,
     ++s.rejected;
     return false;
   }
-  s.lru.push_front(Entry{key, std::move(value), bytes, 0});
+  s.lru.push_front(Entry{key, std::move(value), bytes});
   s.index.emplace(key, s.lru.begin());
   s.bytes += bytes;
   ++s.insertions;
   return true;
-}
-
-bool ShardedLruCache::Pin(const std::string& key) {
-  Stripe& s = StripeOf(key);
-  std::lock_guard<std::mutex> lock(s.m);
-  const auto it = s.index.find(key);
-  if (it == s.index.end()) return false;
-  ++it->second->pins;
-  return true;
-}
-
-bool ShardedLruCache::Unpin(const std::string& key) {
-  Stripe& s = StripeOf(key);
-  std::lock_guard<std::mutex> lock(s.m);
-  const auto it = s.index.find(key);
-  if (it == s.index.end() || it->second->pins == 0) return false;
-  --it->second->pins;
-  return true;
-}
-
-bool ShardedLruCache::Erase(const std::string& key) {
-  Stripe& s = StripeOf(key);
-  std::lock_guard<std::mutex> lock(s.m);
-  const auto it = s.index.find(key);
-  if (it == s.index.end() || it->second->pins > 0) return false;
-  s.bytes -= it->second->bytes;
-  s.lru.erase(it->second);
-  s.index.erase(it);
-  return true;
-}
-
-void ShardedLruCache::Clear() {
-  for (auto& sp : stripes_) {
-    Stripe& s = *sp;
-    std::lock_guard<std::mutex> lock(s.m);
-    for (auto it = s.lru.begin(); it != s.lru.end();) {
-      if (it->pins > 0) {
-        ++it;
-        continue;
-      }
-      s.bytes -= it->bytes;
-      s.index.erase(it->key);
-      it = s.lru.erase(it);
-    }
-  }
 }
 
 ShardedLruCache::Stats ShardedLruCache::TotalStats() const {

@@ -1,15 +1,15 @@
-// Sharded (striped-lock) LRU cache with byte-size accounting and refcount
-// pinning — the primitive under the campaign result cache and the shared
-// nominal-factor cache.
+// Sharded (striped-lock) LRU cache with byte-size accounting — the
+// primitive under the campaign result cache and the shared nominal-factor
+// cache.
 //
 // Keys hash onto `stripes` independent shards, each guarded by its own
 // mutex, so concurrent daemon requests touching different keys never
 // contend.  Capacity is accounted in bytes (the caller supplies each
 // entry's size): every shard owns capacity/stripes bytes and evicts its
-// own least-recently-used *unpinned* entries to make room.  Pinned entries
-// (explicit Pin(), or implicitly alive through the shared_ptr a Get()
-// handed out) are never destroyed mid-use: eviction only drops the cache's
-// reference — a holder's shared_ptr keeps the value alive until released.
+// own least-recently-used entries to make room.  A value a Get() handed
+// out is never destroyed mid-use: eviction only drops the cache's
+// reference — the holder's shared_ptr keeps the value alive until
+// released.
 //
 // A capacity of zero disables the cache entirely (every Put is rejected,
 // every Get misses) — the MCDFT_CACHE_MB=0 escape hatch.
@@ -34,7 +34,7 @@ class ShardedLruCache {
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t rejected = 0;  ///< Puts refused (over-cap, all pinned, cap 0)
+    std::uint64_t rejected = 0;  ///< Puts refused (over-cap, cap 0)
     std::size_t bytes = 0;
     std::size_t entries = 0;
   };
@@ -51,26 +51,13 @@ class ShardedLruCache {
   /// alive even if the entry is evicted afterwards.
   std::shared_ptr<void> Get(const std::string& key);
 
-  /// Insert (or overwrite) `key` -> `value` accounted as `bytes`.
-  /// Unpinned least-recently-used entries of the key's stripe are evicted
-  /// until the entry fits; returns false (and counts a rejection) when it
-  /// cannot fit — the value is larger than the stripe's capacity, every
-  /// resident byte is pinned, or the capacity is zero.
+  /// Insert (or overwrite) `key` -> `value` accounted as `bytes`.  An
+  /// overwrite drops the old entry first.  Least-recently-used entries of
+  /// the key's stripe are evicted until the entry fits; returns false (and
+  /// counts a rejection) when it cannot fit — the value is larger than the
+  /// stripe's capacity, or the capacity is zero.
   bool Put(const std::string& key, std::shared_ptr<void> value,
            std::size_t bytes);
-
-  /// Pin/unpin an entry.  A pinned entry survives any eviction pressure
-  /// (its bytes still count against the stripe).  Pins nest: Pin() twice
-  /// needs Unpin() twice.  Returns false when the key is not resident.
-  bool Pin(const std::string& key);
-  bool Unpin(const std::string& key);
-
-  /// Drop an entry regardless of recency (pinned entries are not erasable;
-  /// returns false).  True when something was removed.
-  bool Erase(const std::string& key);
-
-  /// Drop every unpinned entry.
-  void Clear();
 
   std::size_t CapacityBytes() const { return capacity_; }
   Stats TotalStats() const;
@@ -80,7 +67,6 @@ class ShardedLruCache {
     std::string key;
     std::shared_ptr<void> value;
     std::size_t bytes = 0;
-    std::size_t pins = 0;
   };
   struct Stripe {
     mutable std::mutex m;
@@ -96,8 +82,8 @@ class ShardedLruCache {
 
   Stripe& StripeOf(const std::string& key);
 
-  /// Evict unpinned LRU entries of `s` until `need` bytes fit under the
-  /// per-stripe capacity.  Returns false when that is impossible.
+  /// Evict LRU entries of `s` until `need` bytes fit under the per-stripe
+  /// capacity.  Returns false when `need` exceeds the stripe capacity.
   bool MakeRoom(Stripe& s, std::size_t need);
 
   std::size_t capacity_ = 0;

@@ -44,7 +44,7 @@ TEST_F(RunReport, CapturesSolverCountersPhasesAndCoverage) {
   options.threads = 2;
   const util::json::Value report = recorder.Finish(campaign, options);
 
-  EXPECT_EQ(report.Get("schema").AsString(), "mcdft.run_report/8");
+  EXPECT_EQ(report.Get("schema").AsString(), "mcdft.run_report/9");
   EXPECT_EQ(report.Get("circuit").AsString(), "biquad");
   EXPECT_GT(report.Get("timing").Get("wall_s").AsDouble(), 0.0);
   EXPECT_EQ(report.Get("threads").Get("resolved").AsDouble(), 2.0);
@@ -53,6 +53,8 @@ TEST_F(RunReport, CapturesSolverCountersPhasesAndCoverage) {
   // and the sparse/dense LU paths.
   const util::json::Value& mna = report.Get("solver").Get("mna");
   EXPECT_GT(mna.Get("solve").AsDouble(), 0.0);
+  // Schema /9: no `dc` group (no campaign runs a DC operating point).
+  EXPECT_EQ(report.Get("solver").Find("dc"), nullptr);
 
   // Low-rank fault-solve statistics: with the default options every
   // (fault, frequency) pair goes through an SMW rank update (and its k-by-k
@@ -147,7 +149,7 @@ TEST_F(RunReport, ReportSerializesAndParsesBack) {
   WriteRunReport(report, path);
   const util::json::Value back = util::json::ParseFile(path);
   std::remove(path.c_str());
-  EXPECT_EQ(back.Get("schema").AsString(), "mcdft.run_report/8");
+  EXPECT_EQ(back.Get("schema").AsString(), "mcdft.run_report/9");
   EXPECT_DOUBLE_EQ(back.Get("campaign").Get("coverage").AsDouble(),
                    campaign.Coverage());
 }

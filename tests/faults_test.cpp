@@ -127,20 +127,16 @@ TEST(FaultList, MergeDeduplicates) {
   EXPECT_EQ(merged.size(), 6u);
 }
 
-TEST(Injector, CloneBasedInjectionLeavesGoldenIntact) {
-  auto golden = RcCircuit();
-  auto faulty = InjectFault(golden, Fault("R1", FaultKind::kDeviationUp, 0.5));
-  EXPECT_DOUBLE_EQ(golden.GetElement("R1").Value(), 1e3);
-  EXPECT_DOUBLE_EQ(faulty.GetElement("R1").Value(), 1.5e3);
-}
-
 TEST(Injector, MultipleFaults) {
-  auto golden = RcCircuit();
-  auto faulty = InjectFaults(golden, {Fault("R1", FaultKind::kDeviationUp, 0.1),
-                                      Fault("C1", FaultKind::kDeviationDown,
-                                            0.1)});
-  EXPECT_DOUBLE_EQ(faulty.GetElement("R1").Value(), 1.1e3);
-  EXPECT_NEAR(faulty.GetElement("C1").Value(), 0.9e-6, 1e-15);
+  auto nl = RcCircuit();
+  {
+    ScopedFaultInjection r1(nl, Fault("R1", FaultKind::kDeviationUp, 0.1));
+    ScopedFaultInjection c1(nl, Fault("C1", FaultKind::kDeviationDown, 0.1));
+    EXPECT_DOUBLE_EQ(nl.GetElement("R1").Value(), 1.1e3);
+    EXPECT_NEAR(nl.GetElement("C1").Value(), 0.9e-6, 1e-15);
+  }
+  EXPECT_DOUBLE_EQ(nl.GetElement("R1").Value(), 1e3);
+  EXPECT_DOUBLE_EQ(nl.GetElement("C1").Value(), 1e-6);
 }
 
 TEST(Injector, ScopedInjectionRestoresOnDestruction) {

@@ -199,7 +199,7 @@ TEST(ServerDaemon, SubmitColdThenWarmReturnsByteEqualReports) {
   ASSERT_FALSE(cold_report.empty());
   // The report member round-trips as the exact bytes of a run report.
   EXPECT_EQ(json::Parse(cold_report).Get("schema").AsString(),
-            "mcdft.run_report/8");
+            "mcdft.run_report/9");
 
   // Warm hit from a *different* connection: the cache is service-wide.
   std::unique_ptr<util::Conn> conn2 = util::ConnectUnix(socket_path);
@@ -428,6 +428,34 @@ TEST(ServerDaemon, MalformedEnvIntegersFailLikeBadFlags) {
         << value;
     EXPECT_NE(ReadBytes(err).find("MCDFT_THREADS"), std::string::npos)
         << value << ": " << ReadBytes(err);
+  }
+  fs::remove_all(dir);
+}
+
+// mcdftd's size flags are whole integers >= 0: a negative value stops the
+// daemon before it binds (exit 2, naming the flag) instead of wrapping into
+// a huge std::size_t (a cache cap that is effectively off).  `timeout`
+// bounds the runs: a daemon that accepted the value would serve forever.  --workers shares the read and
+// is covered in process (CliArgs.IntBelowMinimumThrows): a daemon that
+// accepted a negative --workers would ask for ~2^64 threads.
+TEST(ServerDaemon, NegativeSizeFlagsFailBeforeBinding) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mcdftd_size_flag_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string sock = (dir / "d.sock").string();
+  const std::string err = (dir / "stderr.txt").string();
+  for (const std::string flag :
+       {"--cache-mb -1", "--factor-cache-mb -2", "--queue -1"}) {
+    EXPECT_EQ(RunCmd(std::string("timeout 10 ") + MCDFT_MCDFTD_BIN +
+                     " --socket " + sock + " " + flag + " > /dev/null 2> " +
+                     err),
+              2)
+        << flag;
+    const std::string name = flag.substr(0, flag.find(' '));
+    EXPECT_NE(ReadBytes(err).find(name), std::string::npos)
+        << flag << ": " << ReadBytes(err);
+    EXPECT_FALSE(fs::exists(sock)) << flag;
   }
   fs::remove_all(dir);
 }

@@ -12,6 +12,7 @@
 
 #include "circuits/zoo.hpp"
 #include "core/configuration.hpp"
+#include "core/server/request.hpp"
 #include "spice/ac_analysis.hpp"
 
 namespace mcdft::spice {
@@ -59,6 +60,25 @@ TEST(Mna, InductorShortAtDc) {
   // All 5 mA flows through the inductor branch.
   auto i = sol.BranchCurrent(sys.ElementIndexOf("L1"));
   EXPECT_NEAR(i.real(), 5e-3, 1e-12);
+}
+
+// DC analysis is MnaSystem::SolveDc: s = 0, sources at their DC values.
+TEST(DcAnalysis, AcSourceContributesNothingAtDc) {
+  Netlist nl;
+  nl.AddVoltageSource("V1", "in", "0", 0.0, 1.0);  // DC 0, AC 1
+  nl.AddResistor("R1", "in", "out", 1e3);
+  nl.AddResistor("R2", "out", "0", 1e3);
+  auto sol = MnaSystem(nl).SolveDc();
+  EXPECT_EQ(sol.VoltageAt(nl.FindNode("out")), Complex(0.0, 0.0));
+}
+
+TEST(DcAnalysis, VoltageAtOutOfRangeThrows) {
+  Netlist nl;
+  nl.AddVoltageSource("V1", "in", "0", 1.0);
+  nl.AddResistor("R1", "in", "0", 1e3);
+  auto sol = MnaSystem(nl).SolveDc();
+  EXPECT_EQ(sol.VoltageAt(kGround), Complex(0.0, 0.0));
+  EXPECT_THROW(sol.VoltageAt(99), util::AnalysisError);
 }
 
 TEST(Mna, RcLowPassAtCutoff) {
@@ -333,6 +353,41 @@ TEST(AcStampProgram, MatchesAssembleOnEveryZooConfiguration) {
     }
   }
   EXPECT_GT(configurations, 512u);  // cascade6 alone has 2^9
+}
+
+// A sweep's first point must not depend on whether the cache built its CSR
+// pattern at that point or kept one from an earlier sweep: the tolerance
+// envelope gives every thread range a fresh cache, so first-point bits
+// that differ here would make envelopes depend on the thread split.
+TEST(AcStampProgram, FirstPointIsTheSameOnFreshAndReusedPatterns) {
+  std::size_t configurations = 0;
+  for (const auto& entry : circuits::Zoo()) {
+    core::server::CampaignRequest request;
+    request.circuit = entry.name;
+    core::server::CampaignJob job = core::server::BuildCampaignJob(request);
+    const core::CampaignFrame frame =
+        core::BuildCampaignFrame(job.circuit, job.fault_list, job.options);
+    for (const core::ConfigVector& cv : job.configs) {
+      core::ScopedConfiguration scope(job.circuit, cv);
+      const MnaSystem sys(job.circuit.Circuit());
+      MnaSolveCache fresh;
+      fresh.BeginSweep();
+      const MnaSolution built = fresh.SolveAcHz(sys, frame.sweep.FStart());
+      MnaSolveCache reused;
+      reused.BeginSweep();
+      reused.SolveAcHz(sys, frame.sweep.FStop());  // builds the pattern
+      reused.BeginSweep();
+      const MnaSolution kept = reused.SolveAcHz(sys, frame.sweep.FStart());
+      ASSERT_EQ(built.Raw().size(), kept.Raw().size());
+      for (std::size_t i = 0; i < built.Raw().size(); ++i) {
+        EXPECT_TRUE(SameBits(built.Raw()[i], kept.Raw()[i]))
+            << entry.name << " " << cv.Name() << " unknown " << i << ": "
+            << built.Raw()[i] << " vs " << kept.Raw()[i];
+      }
+      ++configurations;
+    }
+  }
+  EXPECT_EQ(configurations, 123u);  // the default campaigns of the zoo
 }
 
 /// A random deck over every element kind, including parallel elements that

@@ -1,5 +1,6 @@
-// Trapezoidal transient engine (spice/transient_analysis) against two
-// independent oracles:
+// The campaign's transient march (faults::FaultSimulator::
+// SimulateTransientRange over spice/transient_analysis's companion stepper)
+// against two independent oracles:
 //
 //  1. A scalar trapezoidal recursion of the same ODE, written directly
 //     from the state equations.  The MNA companion models are algebraically
@@ -10,8 +11,8 @@
 //     trapezoidal rule — this pins the discretization itself.
 //
 // Plus: open/short catastrophic stamps (value factors 1e9 / 1e-9) must
-// leave the transient system solvable with finite, physically bounded
-// trajectories.
+// leave the transient system solvable with finite, physically bounded,
+// unquarantined trajectories.
 #include "spice/transient_analysis.hpp"
 
 #include <gtest/gtest.h>
@@ -20,13 +21,28 @@
 #include <random>
 
 #include "faults/fault.hpp"
+#include "faults/simulator.hpp"
 #include "util/error.hpp"
 
 namespace mcdft::spice {
 namespace {
 
-Probe OutProbe(const Netlist& nl) {
-  return Probe{nl.FindNode("out"), kGround, "v(out)"};
+/// The campaign's transient march over `nl`, probed at node "out": slot 0
+/// is the nominal trajectory, slot 1 + j the trajectory of `faults[j]`.
+std::vector<FrequencyResponse> March(
+    const Netlist& nl, const TransientSpec& spec,
+    const std::vector<faults::Fault>& faults = {}) {
+  const faults::FaultSimulator sim(
+      nl, SweepSpec::List({1.0}),
+      Probe{nl.FindNode("out"), kGround, "v(out)"});
+  return sim.SimulateTransientRange(faults, 0, faults.size(), 1, spec);
+}
+
+/// The nominal slot of March(), which must not be quarantined.
+FrequencyResponse MarchNominal(const Netlist& nl, const TransientSpec& spec) {
+  FrequencyResponse r = March(nl, spec)[0];
+  EXPECT_EQ(r.QuarantinedCount(), 0u);
+  return r;
 }
 
 TEST(TransientSpec, TimesGridExcludesTimeZero) {
@@ -53,8 +69,7 @@ TEST(TransientAnalysis, ValuesArePurelyReal) {
   nl.AddVoltageSource("V1", "in", "0", 1.0);
   nl.AddResistor("R1", "in", "out", 1e3);
   nl.AddCapacitor("C1", "out", "0", 1e-6);
-  TransientAnalyzer analyzer(nl);
-  const auto r = analyzer.Run(TransientSpec{5e-3, 64}, OutProbe(nl));
+  const auto r = MarchNominal(nl, TransientSpec{5e-3, 64});
   ASSERT_EQ(r.PointCount(), 64u);
   for (std::size_t i = 0; i < r.PointCount(); ++i) {
     EXPECT_EQ(r.values[i].imag(), 0.0) << "step " << i;
@@ -91,8 +106,7 @@ TEST(TransientAnalysis, RandomRcMatchesScalarTrapezoidAndClosedForm) {
     nl.AddVoltageSource("V1", "in", "0", 1.0);
     nl.AddResistor("R1", "in", "out", r_ohm);
     nl.AddCapacitor("C1", "out", "0", c_farad);
-    TransientAnalyzer analyzer(nl);
-    const auto resp = analyzer.Run(spec, OutProbe(nl));
+    const auto resp = MarchNominal(nl, spec);
     const auto oracle =
         ScalarTrapezoidRc(r_ohm, c_farad, spec.StepSize(), spec.steps);
 
@@ -160,8 +174,7 @@ TEST(TransientAnalysis, RandomRlcMatchesScalarTrapezoidAndClosedForm) {
     nl.AddResistor("R1", "in", "a", r_ohm);
     nl.AddInductor("L1", "a", "out", l_henry);
     nl.AddCapacitor("C1", "out", "0", c_farad);
-    TransientAnalyzer analyzer(nl);
-    const auto resp = analyzer.Run(spec, OutProbe(nl));
+    const auto resp = MarchNominal(nl, spec);
     const auto oracle = ScalarTrapezoidRlc(r_ohm, l_henry, c_farad,
                                            spec.StepSize(), spec.steps);
 
@@ -185,32 +198,35 @@ TEST(TransientAnalysis, RandomRlcMatchesScalarTrapezoidAndClosedForm) {
 
 // Catastrophic stamps push element values by 1e9 (short on R: conductance
 // up; open on C: capacitance down) — the transient companion matrix must
-// stay factorable and the passive trajectories physically bounded.
+// stay factorable and the passive trajectories physically bounded.  Every
+// fault slot of the campaign march must come back unquarantined.
 TEST(TransientAnalysis, OpenShortStampsStayWellConditioned) {
   using faults::Fault;
   const TransientSpec spec{1e-3, 128};
+  Netlist nl;
+  nl.AddVoltageSource("V1", "in", "0", 1.0);
+  nl.AddResistor("R1", "in", "mid", 1e3);
+  nl.AddCapacitor("C1", "mid", "0", 1e-7);
+  nl.AddResistor("R2", "mid", "out", 1e3);
+  nl.AddCapacitor("C2", "out", "0", 1e-7);
+  std::vector<Fault> faults;
   for (const char* device : {"R1", "R2", "C1", "C2"}) {
-    for (const bool open : {true, false}) {
-      Netlist nl;
-      nl.AddVoltageSource("V1", "in", "0", 1.0);
-      nl.AddResistor("R1", "in", "mid", 1e3);
-      nl.AddCapacitor("C1", "mid", "0", 1e-7);
-      nl.AddResistor("R2", "mid", "out", 1e3);
-      nl.AddCapacitor("C2", "out", "0", 1e-7);
-      const Fault fault =
-          open ? Fault::Open(device) : Fault::Short(device);
-      fault.ApplyTo(nl);
-
-      TransientAnalyzer analyzer(nl);
-      const auto resp = analyzer.Run(spec, OutProbe(nl));
-      ASSERT_EQ(resp.PointCount(), spec.steps) << fault.Label();
-      for (std::size_t k = 0; k < resp.PointCount(); ++k) {
-        const double v = resp.values[k].real();
-        ASSERT_TRUE(std::isfinite(v)) << fault.Label() << " step " << k + 1;
-        // A passive RC ladder driven by a 1 V step cannot exceed the
-        // source; leave slack for the extreme-value arithmetic.
-        ASSERT_LE(std::abs(v), 2.0) << fault.Label() << " step " << k + 1;
-      }
+    faults.push_back(Fault::Open(device));
+    faults.push_back(Fault::Short(device));
+  }
+  const std::vector<FrequencyResponse> slots = March(nl, spec, faults);
+  ASSERT_EQ(slots.size(), 1 + faults.size());
+  for (std::size_t j = 0; j < faults.size(); ++j) {
+    const FrequencyResponse& resp = slots[1 + j];
+    const std::string label = faults[j].Label();
+    ASSERT_EQ(resp.PointCount(), spec.steps) << label;
+    ASSERT_EQ(resp.QuarantinedCount(), 0u) << label;
+    for (std::size_t k = 0; k < resp.PointCount(); ++k) {
+      const double v = resp.values[k].real();
+      ASSERT_TRUE(std::isfinite(v)) << label << " step " << k + 1;
+      // A passive RC ladder driven by a 1 V step cannot exceed the
+      // source; leave slack for the extreme-value arithmetic.
+      ASSERT_LE(std::abs(v), 2.0) << label << " step " << k + 1;
     }
   }
 }

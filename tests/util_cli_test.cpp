@@ -90,6 +90,20 @@ TEST(CliArgs, UnparsableIntThrows) {
   EXPECT_EQ(a.GetInt("max", 1), 2147483647);
 }
 
+// mcdftd reads its size flags (--workers, --queue, --cache-mb,
+// --factor-cache-mb) with a lower bound of 0: a negative value is an error
+// naming the flag instead of wrapping into a huge std::size_t (a negative
+// --workers would ask for ~2^64 threads).
+TEST(CliArgs, IntBelowMinimumThrows) {
+  auto a = Make({"--workers", "-1", "--queue", "0"});
+  const std::string error = ErrorOf([&] { a.GetInt("workers", 2, 0); });
+  EXPECT_NE(error.find("--workers"), std::string::npos) << error;
+  EXPECT_NE(error.find(">= 0"), std::string::npos) << error;
+  EXPECT_EQ(a.GetInt("workers", 2), -1);  // no bound: the value as given
+  EXPECT_EQ(a.GetInt("queue", 64, 0), 0);
+  EXPECT_EQ(a.GetInt("absent", 5, 0), 5);
+}
+
 TEST(CliArgs, FlagFollowedByFlag) {
   auto a = Make({"--a", "--b", "val"});
   EXPECT_TRUE(a.Has("a"));

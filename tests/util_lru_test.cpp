@@ -1,5 +1,5 @@
 // ShardedLruCache (util/lru.hpp): eviction order, exact byte accounting,
-// pin semantics, and the capacity-0 escape hatch — the primitive under the
+// overwrites, and the capacity-0 escape hatch — the primitive under the
 // daemon's result cache and the shared nominal-factor cache, so its
 // accounting must be exact, not approximate.
 #include "util/lru.hpp"
@@ -60,7 +60,7 @@ TEST(LruCache, InsertOverCapacityEvictsLeastRecentlyUsed) {
 }
 
 TEST(LruCache, ByteAccountingIsExactAcrossOverwriteAndErase) {
-  ShardedLruCache cache(1000, 1);
+  ShardedLruCache cache(400, 1);
   EXPECT_TRUE(cache.Put("a", Val("a"), 111));
   EXPECT_TRUE(cache.Put("b", Val("b"), 222));
   EXPECT_EQ(cache.TotalStats().bytes, 333u);
@@ -71,17 +71,15 @@ TEST(LruCache, ByteAccountingIsExactAcrossOverwriteAndErase) {
   EXPECT_EQ(cache.TotalStats().entries, 2u);
   EXPECT_EQ(AsStr(cache.Get("a")), "a2");
 
-  EXPECT_TRUE(cache.Erase("b"));
-  EXPECT_EQ(cache.TotalStats().bytes, 50u);
-  EXPECT_EQ(cache.TotalStats().entries, 1u);
-
-  cache.Clear();
-  EXPECT_EQ(cache.TotalStats().bytes, 0u);
-  EXPECT_EQ(cache.TotalStats().entries, 0u);
+  // Eviction releases exactly the victim's bytes: "b" is the LRU entry.
+  EXPECT_TRUE(cache.Put("c", Val("c"), 300));
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  EXPECT_EQ(cache.TotalStats().bytes, 350u);
+  EXPECT_EQ(cache.TotalStats().entries, 2u);
 }
 
 TEST(LruCache, OverwriteNeverEvictsTheEntryBeingOverwritten) {
-  // Regression: growing an entry while it sits at the unpinned LRU tail
+  // Regression: growing an entry while it sits at the LRU tail
   // must not let MakeRoom pick it as its own eviction victim (which
   // double-subtracted its bytes — size_t underflow — and left the index
   // iterator dangling).
@@ -101,95 +99,19 @@ TEST(LruCache, OverwriteNeverEvictsTheEntryBeingOverwritten) {
   EXPECT_EQ(stats.evictions, 1u);
 }
 
-TEST(LruCache, PinnedOverwriteAtTailKeepsPinAndEvictsOthers) {
-  // Same shape with the overwritten entry pinned: the pin must survive the
-  // overwrite and room is made from the other residents.
-  ShardedLruCache cache(100, 1);
-  EXPECT_TRUE(cache.Put("a", Val("a1"), 50));
-  ASSERT_TRUE(cache.Pin("a"));
-  EXPECT_TRUE(cache.Put("b", Val("b"), 40));
-  EXPECT_TRUE(cache.Put("a", Val("a2"), 70));  // evicts "b", not "a"
-
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_EQ(AsStr(cache.Get("a")), "a2");
-  EXPECT_EQ(cache.TotalStats().bytes, 70u);
-
-  // Still pinned: a full-capacity insert cannot displace it.
-  EXPECT_FALSE(cache.Put("c", Val("c"), 100));
-  EXPECT_NE(cache.Get("a"), nullptr);
-  ASSERT_TRUE(cache.Unpin("a"));
-}
-
 TEST(LruCache, FailedOverwriteOfUnpinnedEntryDropsTheStaleValue) {
-  // An oversized overwrite cannot be admitted; the stale unpinned entry is
-  // dropped rather than kept (it no longer reflects the caller's value).
+  // An oversized overwrite cannot be admitted; the stale entry is dropped
+  // rather than kept (it no longer reflects the caller's value), and the
+  // other residents keep their values and bytes.
   ShardedLruCache cache(100, 1);
   EXPECT_TRUE(cache.Put("a", Val("a1"), 50));
+  EXPECT_TRUE(cache.Put("b", Val("b"), 30));
   EXPECT_FALSE(cache.Put("a", Val("a2"), 101));
   EXPECT_EQ(cache.Get("a"), nullptr);
-  EXPECT_EQ(cache.TotalStats().bytes, 0u);
-
-  // A pinned entry instead survives with its accounting restored.
-  EXPECT_TRUE(cache.Put("p", Val("p1"), 50));
-  ASSERT_TRUE(cache.Pin("p"));
-  EXPECT_FALSE(cache.Put("p", Val("p2"), 101));
-  EXPECT_EQ(AsStr(cache.Get("p")), "p1");
-  EXPECT_EQ(cache.TotalStats().bytes, 50u);
-  ASSERT_TRUE(cache.Unpin("p"));
-}
-
-TEST(LruCache, PinnedEntriesSurviveEvictionPressure) {
-  ShardedLruCache cache(300, 1);
-  EXPECT_TRUE(cache.Put("pinned", Val("p"), 100));
-  ASSERT_TRUE(cache.Pin("pinned"));
-  EXPECT_TRUE(cache.Put("b", Val("b"), 100));
-  EXPECT_TRUE(cache.Put("c", Val("c"), 100));
-
-  // "pinned" is the LRU entry, but eviction must skip it and take "b".
-  EXPECT_TRUE(cache.Put("d", Val("d"), 100));
-  EXPECT_NE(cache.Get("pinned"), nullptr);
-  EXPECT_EQ(cache.Get("b"), nullptr);
-
-  // A fully pinned stripe rejects instead of evicting.
-  ASSERT_TRUE(cache.Pin("c"));
-  ASSERT_TRUE(cache.Pin("d"));
-  // "pinned" was touched by the Get above; pin state is what matters.
-  const auto before = cache.TotalStats();
-  EXPECT_FALSE(cache.Put("e", Val("e"), 100));
-  EXPECT_EQ(cache.TotalStats().rejected, before.rejected + 1);
-  EXPECT_EQ(cache.TotalStats().bytes, 300u);  // accounting undisturbed
-
-  // Unpinning re-enables eviction.
-  ASSERT_TRUE(cache.Unpin("c"));
-  EXPECT_TRUE(cache.Put("e", Val("e"), 100));
-  EXPECT_EQ(cache.Get("c"), nullptr);
-}
-
-TEST(LruCache, PinsNestAndPinnedEntriesResistErase) {
-  ShardedLruCache cache(1000, 1);
-  EXPECT_TRUE(cache.Put("a", Val("a"), 10));
-  ASSERT_TRUE(cache.Pin("a"));
-  ASSERT_TRUE(cache.Pin("a"));  // nested
-
-  EXPECT_FALSE(cache.Erase("a"));  // pinned: not erasable
-  ASSERT_TRUE(cache.Unpin("a"));
-  EXPECT_FALSE(cache.Erase("a"));  // still one pin outstanding
-  ASSERT_TRUE(cache.Unpin("a"));
-  EXPECT_TRUE(cache.Erase("a"));  // last pin released
-
-  EXPECT_FALSE(cache.Pin("missing"));
-  EXPECT_FALSE(cache.Unpin("missing"));
-}
-
-TEST(LruCache, ClearKeepsPinnedEntries) {
-  ShardedLruCache cache(1000, 1);
-  EXPECT_TRUE(cache.Put("keep", Val("k"), 10));
-  EXPECT_TRUE(cache.Put("drop", Val("d"), 20));
-  ASSERT_TRUE(cache.Pin("keep"));
-  cache.Clear();
-  EXPECT_NE(cache.Get("keep"), nullptr);
-  EXPECT_EQ(cache.Get("drop"), nullptr);
-  EXPECT_EQ(cache.TotalStats().bytes, 10u);
+  EXPECT_EQ(AsStr(cache.Get("b")), "b");
+  EXPECT_EQ(cache.TotalStats().bytes, 30u);
+  EXPECT_EQ(cache.TotalStats().entries, 1u);
+  EXPECT_EQ(cache.TotalStats().rejected, 1u);
 }
 
 TEST(LruCache, EvictedValueStaysAliveThroughBorrowedSharedPtr) {
@@ -238,12 +160,8 @@ TEST(LruCache, ConcurrentMixedTrafficKeepsAccountingConsistent) {
         const std::string key = "k" + std::to_string((t * 31 + i) % 64);
         if (i % 3 == 0) {
           cache.Put(key, Val(key), 64);
-        } else if (i % 3 == 1) {
+        } else {
           cache.Get(key);
-        } else if (i % 7 == 2) {
-          cache.Erase(key);
-        } else if (cache.Pin(key)) {
-          cache.Unpin(key);
         }
       }
     });

@@ -50,19 +50,22 @@ int main(int argc, char** argv) {
   core::server::DaemonOptions daemon_options;
   int tcp_port = 0;
   try {
-    options.workers = static_cast<std::size_t>(args.GetInt("workers", 2));
-    options.queue_limit = static_cast<std::size_t>(args.GetInt("queue", 64));
+    // Sizes and counts: a whole integer >= 0, so a negative value stops
+    // here instead of wrapping into a huge std::size_t.
+    const auto size_flag = [&args](const char* name, int fallback) {
+      return static_cast<std::size_t>(args.GetInt(name, fallback, 0));
+    };
+    options.workers = size_flag("workers", 2);
+    options.queue_limit = size_flag("queue", 64);
     // MCDFT_CACHE_MB wins over --cache-mb so operators can disable the cache
     // without editing service files; both express megabytes.
-    const std::size_t flag_mb =
-        static_cast<std::size_t>(args.GetInt("cache-mb", 256));
-    options.cache.capacity_bytes = core::CacheCapacityFromEnv(flag_mb);
+    options.cache.capacity_bytes =
+        core::CacheCapacityFromEnv(size_flag("cache-mb", 256));
+    options.factor_cache_bytes = size_flag("factor-cache-mb", 64) << 20;
     options.cache.disk_dir = args.GetString("cache-dir", "");
     if (!options.cache.disk_dir.empty()) {
       ::mkdir(options.cache.disk_dir.c_str(), 0777);  // EEXIST is fine
     }
-    options.factor_cache_bytes =
-        static_cast<std::size_t>(args.GetInt("factor-cache-mb", 64)) << 20;
     // Shutdown drain budget: in-flight and queued jobs get this long to
     // finish before being cancelled.
     options.drain_budget_ms = args.GetInt("drain-ms", 5'000);
