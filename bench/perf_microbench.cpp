@@ -168,6 +168,66 @@ void BM_AcSweepCascade6(benchmark::State& state) {
 }
 BENCHMARK(BM_AcSweepCascade6);
 
+// --- Sparse LU kernels on one envelope point ---------------------------
+//
+// The system of one Monte-Carlo envelope point: the configuration above at
+// 1 kHz, assembled through the campaign's CSR pattern (29 unknowns, 90
+// nonzeros, no fill).  A sample's first point pays the Markowitz factor
+// (Arg 1 adds the factor-program compilation its first refactor pays when
+// no stored program matches); every later point pays one refactor and one
+// solve.
+struct EnvelopePoint {
+  linalg::CsrMatrix a;
+  linalg::Vector b;
+};
+
+EnvelopePoint BuildCascade6EnvelopePoint() {
+  core::DftCircuit circuit =
+      core::DftCircuit::Transform(circuits::BuildCascade6());
+  core::ScopedConfiguration config(
+      circuit, core::ConfigVector::FromBits("101010100"));
+  const spice::MnaSystem sys(circuit.Circuit());
+  linalg::TripletMatrix t;
+  EnvelopePoint point;
+  sys.Assemble(spice::AnalysisKind::kAc, 2.0 * 3.141592653589793 * 1e3, t,
+               point.b);
+  point.a = linalg::CsrAssembly(t).Matrix();
+  return point;
+}
+
+void BM_SparseLuFactorCascade6(benchmark::State& state) {
+  const EnvelopePoint point = BuildCascade6EnvelopePoint();
+  for (auto _ : state) {
+    linalg::SparseLu lu(point.a);
+    if (state.range(0) == 1) lu.EnsureFactorProgram();
+    benchmark::DoNotOptimize(lu);
+  }
+}
+BENCHMARK(BM_SparseLuFactorCascade6)->Arg(0)->Arg(1);
+
+void BM_SparseLuRefactorCascade6(benchmark::State& state) {
+  const EnvelopePoint point = BuildCascade6EnvelopePoint();
+  linalg::SparseLu lu(point.a);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lu.Refactor(point.a));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SparseLuRefactorCascade6);
+
+void BM_SparseLuSolveCascade6(benchmark::State& state) {
+  const EnvelopePoint point = BuildCascade6EnvelopePoint();
+  linalg::SparseLu lu(point.a);
+  lu.Refactor(point.a);
+  linalg::Vector x;
+  for (auto _ : state) {
+    lu.Solve(point.b, x);
+    benchmark::DoNotOptimize(x.data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SparseLuSolveCascade6);
+
 // --- Low-rank fault-solve kernel -------------------------------------
 //
 // The per-(fault, frequency) cell of a frequency-major campaign, isolated:

@@ -27,7 +27,13 @@ std::string ProtocolErrorLine(const std::string& error,
 Daemon::Daemon(util::Listener listener, DaemonOptions options)
     : listener_(std::move(listener)),
       options_(options),
-      service_(options.service) {}
+      service_(options.service) {
+  // Connection threads apply the budget; refuse a bad one here, not there.
+  if (options_.io_timeout_ms < 0) {
+    throw util::Error("io timeout must be >= 0 ms, got " +
+                      std::to_string(options_.io_timeout_ms));
+  }
+}
 
 Daemon::~Daemon() { Stop(); }
 

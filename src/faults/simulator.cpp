@@ -551,12 +551,16 @@ class TransientBlock {
     }
     // Per step: solve, probe, advance.  The first step that throws or
     // probes a non-finite value is the trajectory's first bad step.
+    linalg::Vector x;  // reused by every step's sparse solve
     for (std::size_t k = 0; k < spec_.steps; ++k) {
       StepCounter().Add();
       try {
         const linalg::Vector& b = stepper->NextRhs();
-        const linalg::Vector x =
-            lu ? lu->Solve(b) : linalg::SolveDense(*dense, b);
+        if (lu) {
+          lu->Solve(b, x);
+        } else {
+          x = linalg::SolveDense(*dense, b);
+        }
         const linalg::Complex v = ProbeValue(probe, x);
         if (!Finite(v)) {
           RetryCounter().Add();

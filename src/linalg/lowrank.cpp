@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/complex_div.hpp"
 #include "util/error.hpp"
 #include "util/faultpoint.hpp"
 #include "util/metrics.hpp"
@@ -53,9 +54,9 @@ bool SolveCapacitance(std::size_t k, Complex c[kMaxRank][kMaxRank],
       return false;
     }
     std::swap(perm[step], perm[best]);
-    const Complex pivot = c[perm[step]][step];
+    const DivisorHalf pivot = MakeDivisorHalf(c[perm[step]][step]);
     for (std::size_t r = step + 1; r < k; ++r) {
-      const Complex m = c[perm[r]][step] / pivot;
+      const Complex m = Divide(c[perm[r]][step], pivot);
       if (m == Complex(0.0, 0.0)) continue;
       for (std::size_t col = step + 1; col < k; ++col) {
         c[perm[r]][col] -= m * c[perm[step]][col];
@@ -68,7 +69,7 @@ bool SolveCapacitance(std::size_t k, Complex c[kMaxRank][kMaxRank],
     for (std::size_t col = step + 1; col < k; ++col) {
       acc -= c[perm[step]][col] * h[col];
     }
-    h[step] = acc / c[perm[step]][step];
+    h[step] = Divide(acc, c[perm[step]][step]);
     if (!Finite(h[step])) {
       return false;
     }
@@ -125,7 +126,7 @@ void LowRankUpdateSolver::Bind(SparseLu& nominal, const Vector& b) {
   // included, where the factor comes straight from construction rather
   // than from a Refactor — solves through one operation sequence.
   nominal.EnsureFactorProgram();
-  x0_ = nominal.Solve(b);
+  nominal.Solve(b, x0_);
 }
 
 std::optional<Vector> LowRankUpdateSolver::Solve(
@@ -162,7 +163,7 @@ std::optional<Vector> LowRankUpdateSolver::Solve(
       }
       dense_u_[idx] += val;
     }
-    z_[j] = lu_->Solve(dense_u_);
+    lu_->Solve(dense_u_, z_[j]);
   }
 
   // Capacitance matrix C = I_k + W^T Z and projected rhs g = W^T x0.

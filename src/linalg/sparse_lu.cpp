@@ -11,47 +11,77 @@
 namespace mcdft::linalg {
 
 namespace {
-constexpr double kSingularAbs = 1e-300;
-
 namespace metrics = util::metrics;
+
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+/// One entry of a working row during construction.  The magnitude is
+/// computed once, when the value is created or updated, and read by every
+/// later pivot search; it never reaches the stored factor.
+struct WorkEntry {
+  std::size_t col;
+  Complex val;
+  double mag;
+};
 }  // namespace
 
-void SparseLu::BuildRows(const CsrMatrix& a, std::vector<SparseRow>& rows) {
-  rows.resize(a.Rows());
-  for (std::size_t r = 0; r < a.Rows(); ++r) {
-    rows[r].clear();
-    for (std::size_t k = a.RowPointers()[r]; k < a.RowPointers()[r + 1]; ++k) {
-      if (a.Values()[k] != Complex(0.0, 0.0)) {
-        rows[r].push_back(Entry{a.ColumnIndices()[k], a.Values()[k]});
-      }
-    }
-  }
-}
+// ---- Factor program ------------------------------------------------------
+//
+// CompileProgram turns the elimination under the fixed (row_perm_,
+// col_perm_) pivot sequence into a replayable schedule over a flat value
+// array.  The structure is derived *symbolically* from the sparsity
+// pattern alone — it is the superset of every structure the value-guided
+// elimination can produce for this pattern, because construction drops
+// entries on value conditions (explicit zeros in the CSR input, zero
+// multipliers, exact cancellations) that a schedule recorded from one
+// value assignment would miss for another.  Replaying the superset with
+// any values performs the same arithmetic as construction on those
+// values; the only divergences are sign-of-zero / exact-cancellation
+// positions, where results differ at most in the bit pattern of a zero.
+class FactorProgram {
+ public:
+  std::size_t n = 0;
+  std::size_t nnz = 0;  // entries of the pattern it was compiled for
+  // The pivot order the program was compiled for (AdoptProgram's key).
+  std::vector<std::size_t> row_perm;
+  std::vector<std::size_t> col_perm;
+  // Flat storage: one slot per (row, column) position the elimination can
+  // ever touch, grouped by original row, column-sorted within a row.
+  std::vector<std::size_t> row_slot_ptr;  // n+1
+  std::vector<std::size_t> slot_col;
+  // Load map: CSR entry k -> slot.  Empty when the map is the identity
+  // (no fill: the slots are exactly the CSR entries, in CSR order).
+  std::vector<std::size_t> csr_slot;
+  std::vector<std::size_t> fill_slots;  // slots no CSR entry loads
+  // Per elimination step: the pivot slot, the frozen U entries of the
+  // pivot row excluding the pivot itself (for the backward pass), and the
+  // target rows with their multiplier slots.  Each target applies the ops
+  // (dst -= m * src) listed per step in op_dst/op_src — targets of one
+  // step share the src sequence, so ops are stored target-major with a
+  // fixed per-target width of (step_u_ptr delta).
+  std::vector<std::size_t> step_pivot_slot;  // n (kNoSlot = missing pivot)
+  std::vector<std::size_t> step_u_ptr;       // n+1 -> u_slot/u_col
+  std::vector<std::size_t> u_slot;
+  std::vector<std::size_t> u_col;
+  std::vector<std::size_t> step_target_ptr;  // n+1 -> target_row/...
+  std::vector<std::size_t> target_row;
+  std::vector<std::size_t> target_mult_slot;
+  std::vector<std::size_t> target_op_ptr;    // per target -> op_dst/op_src
+  std::vector<std::size_t> op_dst;
+  std::vector<std::size_t> op_src;
 
-void SparseLu::EliminateRow(SparseRow& row, const SparseRow& urow,
-                            const std::vector<bool>& col_active, Complex m,
-                            SparseRow& scratch) {
-  SparseRow& merged = scratch;
-  merged.clear();
-  merged.reserve(row.size() + urow.size());
-  std::size_t i = 0, j = 0;
-  while (i < row.size() || j < urow.size()) {
-    if (j >= urow.size() || (i < row.size() && row[i].col < urow[j].col)) {
-      merged.push_back(row[i++]);
-    } else if (!col_active[urow[j].col]) {
-      ++j;  // pivot column itself (and any frozen column): no update needed
-    } else if (i >= row.size() || urow[j].col < row[i].col) {
-      merged.push_back(Entry{urow[j].col, -m * urow[j].val});
-      ++j;
-    } else {
-      Complex v = row[i].val - m * urow[j].val;
-      if (v != Complex(0.0, 0.0)) merged.push_back(Entry{row[i].col, v});
-      ++i;
-      ++j;
-    }
+  std::size_t SlotCount() const { return slot_col.size(); }
+
+  /// Slot index of position (row, col); kNoSlot when outside the compiled
+  /// structure.
+  std::size_t SlotOf(std::size_t row, std::size_t col) const {
+    const auto begin = slot_col.begin() + row_slot_ptr[row];
+    const auto end = slot_col.begin() + row_slot_ptr[row + 1];
+    const auto it = std::lower_bound(begin, end, col);
+    if (it == end || *it != col) return kNoSlot;
+    return static_cast<std::size_t>(it - slot_col.begin());
   }
-  row.swap(merged);  // old buffer becomes the next merge's scratch
-}
+};
 
 SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
   if (a.Rows() != a.Cols()) {
@@ -69,25 +99,47 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
     throw util::McdftError(util::ErrorCategory::kInjected,
                            "faultpoint sparse_lu.factor");
   }
-  lower_.assign(n_, {});
-  upper_.assign(n_, {});
   row_perm_.resize(n_);
   col_perm_.resize(n_);
   col_pos_.assign(n_, 0);
+  half_.resize(n_);
   // Remember the pattern for the (lazy) factor-program compilation.
   pat_row_ptr_ = a.RowPointers();
   pat_col_idx_ = a.ColumnIndices();
 
-  // Working copy: active rows as sorted (col, val) vectors.
-  std::vector<SparseRow> rows;
-  BuildRows(a, rows);
-  SparseRow merge_scratch;
-  std::vector<bool> row_active(n_, true);
-  std::vector<bool> col_active(n_, true);
-  // Multipliers produced at each elimination step: (original row, m).
-  std::vector<std::vector<std::pair<std::size_t, Complex>>> step_mult(n_);
-
+  // Working rows live in one pool: row r is pool[row_begin[r], +row_size[r])
+  // with room for row_cap[r] entries.  A row that outgrows its room moves
+  // to the pool's end.  Active rows hold only active columns: every
+  // eliminated column is erased from each row that held it.
+  const std::vector<std::size_t>& rp = a.RowPointers();
+  const std::vector<std::size_t>& ci = a.ColumnIndices();
+  const std::vector<Complex>& vals = a.Values();
+  std::vector<WorkEntry> pool;
+  pool.reserve(vals.size() + vals.size() / 2);
+  std::vector<std::size_t> row_begin(n_), row_size(n_), row_cap(n_);
+  std::vector<double> row_max(n_, 0.0);  // max magnitude over the row
+  const auto refresh_row_max = [&](std::size_t r) {
+    double m = 0.0;
+    const WorkEntry* row = pool.data() + row_begin[r];
+    for (std::size_t i = 0; i < row_size[r]; ++i) m = std::max(m, row[i].mag);
+    row_max[r] = m;
+  };
+  for (std::size_t r = 0; r < n_; ++r) {
+    row_begin[r] = pool.size();
+    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
+      if (vals[k] != Complex(0.0, 0.0)) {
+        pool.push_back(WorkEntry{ci[k], vals[k], std::abs(vals[k])});
+      }
+    }
+    row_size[r] = row_cap[r] = pool.size() - row_begin[r];
+    refresh_row_max(r);
+  }
+  std::vector<char> row_active(n_, 1);
   std::vector<std::size_t> col_count(n_);
+  std::vector<WorkEntry> merged;
+  upper_.reserve(vals.size());
+  upper_ptr_.assign(n_ + 1, 0);
+  lower_ptr_.assign(n_ + 1, 0);
 
   for (std::size_t step = 0; step < n_; ++step) {
     // Column occupancy among active rows (recomputed per step; cheap at MNA
@@ -95,9 +147,8 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
     std::fill(col_count.begin(), col_count.end(), 0);
     for (std::size_t r = 0; r < n_; ++r) {
       if (!row_active[r]) continue;
-      for (const Entry& e : rows[r]) {
-        if (col_active[e.col]) ++col_count[e.col];
-      }
+      const WorkEntry* row = pool.data() + row_begin[r];
+      for (std::size_t i = 0; i < row_size[r]; ++i) ++col_count[row[i].col];
     }
 
     // Threshold-relaxed Markowitz pivot search.
@@ -106,26 +157,19 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
     double best_mag = 0.0;
     for (std::size_t r = 0; r < n_; ++r) {
       if (!row_active[r]) continue;
-      double row_max = 0.0;
-      std::size_t active_in_row = 0;
-      for (const Entry& e : rows[r]) {
-        if (!col_active[e.col]) continue;
-        row_max = std::max(row_max, std::abs(e.val));
-        ++active_in_row;
-      }
-      if (active_in_row == 0 || row_max <= kSingularAbs) continue;
-      for (const Entry& e : rows[r]) {
-        if (!col_active[e.col]) continue;
-        double mag = std::abs(e.val);
-        if (mag < options.pivot_threshold * row_max || mag <= kSingularAbs) {
-          continue;
-        }
-        std::size_t mk = (active_in_row - 1) * (col_count[e.col] - 1);
+      const std::size_t active_in_row = row_size[r];
+      if (active_in_row == 0 || row_max[r] <= kSingularAbs) continue;
+      const double threshold = options.pivot_threshold * row_max[r];
+      const WorkEntry* row = pool.data() + row_begin[r];
+      for (std::size_t i = 0; i < active_in_row; ++i) {
+        const double mag = row[i].mag;
+        if (mag < threshold || mag <= kSingularAbs) continue;
+        std::size_t mk = (active_in_row - 1) * (col_count[row[i].col] - 1);
         if (mk < best_markowitz || (mk == best_markowitz && mag > best_mag)) {
           best_markowitz = mk;
           best_mag = mag;
           best_row = r;
-          best_col = e.col;
+          best_col = row[i].col;
         }
       }
     }
@@ -139,42 +183,75 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
     row_perm_[step] = best_row;
     col_perm_[step] = best_col;
     col_pos_[best_col] = step;
-    row_active[best_row] = false;
-    col_active[best_col] = false;
+    row_active[best_row] = 0;
 
-    // Freeze the pivot row into U (keeps already-eliminated columns out).
-    SparseRow& prow = rows[best_row];
+    // Freeze the pivot row into U: it holds the pivot and active columns
+    // only.
     Complex piv(0.0, 0.0);
-    SparseRow urow;
-    urow.reserve(prow.size());
-    for (const Entry& e : prow) {
-      if (e.col == best_col) piv = e.val;
-      if (e.col == best_col || col_active[e.col]) urow.push_back(e);
+    {
+      const WorkEntry* prow = pool.data() + row_begin[best_row];
+      for (std::size_t i = 0; i < row_size[best_row]; ++i) {
+        if (prow[i].col == best_col) piv = prow[i].val;
+        upper_.push_back(Entry{prow[i].col, prow[i].val});
+      }
     }
-    upper_[step] = std::move(urow);
+    upper_ptr_[step + 1] = upper_.size();
+    const DivisorHalf half = MakeDivisorHalf(piv);
+    half_[step] = half;
+    const std::size_t u_begin = upper_ptr_[step];
+    const std::size_t u_end = upper_ptr_[step + 1];
 
     // Eliminate the pivot column from every remaining active row.
     for (std::size_t r = 0; r < n_; ++r) {
       if (!row_active[r]) continue;
-      SparseRow& row = rows[r];
-      auto it = std::lower_bound(
-          row.begin(), row.end(), best_col,
-          [](const Entry& e, std::size_t c) { return e.col < c; });
-      if (it == row.end() || it->col != best_col) continue;
-      Complex m = it->val / piv;
-      row.erase(it);
-      if (m == Complex(0.0, 0.0)) continue;
-      step_mult[step].emplace_back(r, m);
-      EliminateRow(row, upper_[step], col_active, m, merge_scratch);
+      WorkEntry* row = pool.data() + row_begin[r];
+      const std::size_t size = row_size[r];
+      WorkEntry* const it = std::lower_bound(
+          row, row + size, best_col,
+          [](const WorkEntry& e, std::size_t c) { return e.col < c; });
+      if (it == row + size || it->col != best_col) continue;
+      const Complex m = Divide(it->val, half);
+      std::copy(it + 1, row + size, it);  // the entry becomes the multiplier
+      --row_size[r];
+      if (m == Complex(0.0, 0.0)) {
+        refresh_row_max(r);
+        continue;
+      }
+      lower_.push_back(Entry{r, m});
+      // row -= m * (pivot row without the pivot column): a sorted merge
+      // into `merged`, then back into the row's room.
+      merged.clear();
+      std::size_t i = 0, j = u_begin;
+      const std::size_t rsize = row_size[r];
+      while (i < rsize || j < u_end) {
+        if (j >= u_end || (i < rsize && row[i].col < upper_[j].col)) {
+          merged.push_back(row[i++]);
+        } else if (upper_[j].col == best_col) {
+          ++j;  // the pivot column itself: no update needed
+        } else if (i >= rsize || upper_[j].col < row[i].col) {
+          const Complex v = -m * upper_[j].val;
+          merged.push_back(WorkEntry{upper_[j].col, v, std::abs(v)});
+          ++j;
+        } else {
+          const Complex v = row[i].val - m * upper_[j].val;
+          if (v != Complex(0.0, 0.0)) {
+            merged.push_back(WorkEntry{row[i].col, v, std::abs(v)});
+          }
+          ++i;
+          ++j;
+        }
+      }
+      if (merged.size() > row_cap[r]) {
+        row_begin[r] = pool.size();
+        row_cap[r] = merged.size();
+        pool.insert(pool.end(), merged.begin(), merged.end());
+      } else {
+        std::copy(merged.begin(), merged.end(), pool.begin() + row_begin[r]);
+      }
+      row_size[r] = merged.size();
+      refresh_row_max(r);
     }
-  }
-
-  // Re-home the multipliers under the producing step for the solve phase.
-  for (std::size_t step = 0; step < n_; ++step) {
-    lower_[step].clear();
-    for (const auto& [r, m] : step_mult[step]) {
-      lower_[step].push_back(Entry{r, m});
-    }
+    lower_ptr_[step + 1] = lower_.size();
   }
 
   static metrics::Counter& factor_count =
@@ -185,21 +262,17 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
   if (metrics::Enabled()) fill_hist.Observe(FactorNonZeroCount());
 }
 
-// ---- Factor program ------------------------------------------------------
-//
-// CompileProgram turns the elimination under the fixed (row_perm_,
-// col_perm_) pivot sequence into a replayable schedule over a flat value
-// array.  The structure is derived *symbolically* from the sparsity
-// pattern alone — it is the superset of every structure the value-guided
-// elimination can produce for this pattern, because the legacy passes drop
-// entries on value conditions (explicit zeros in the CSR input, zero
-// multipliers, exact cancellations) that a schedule recorded from one
-// value assignment would miss for another.  Replaying the superset with
-// any values performs the same arithmetic as the legacy pass on those
-// values; the only divergences are sign-of-zero / exact-cancellation
-// positions, where results differ at most in the bit pattern of a zero.
-
 void SparseLu::CompileProgram() {
+  static metrics::Counter& compiled =
+      metrics::GetCounter("linalg.sparse_lu.program_compiled");
+  compiled.Add();
+  auto program = std::make_shared<FactorProgram>();
+  FactorProgram& p = *program;
+  p.n = n_;
+  p.nnz = pat_col_idx_.size();
+  p.row_perm = row_perm_;
+  p.col_perm = col_perm_;
+
   // Pass 1: symbolic elimination over the pattern.  `cur` is each active
   // row's current column set (sorted); `all` accumulates every position a
   // row ever holds (initial pattern + fill), which becomes its slot range.
@@ -221,8 +294,8 @@ void SparseLu::CompileProgram() {
     row_active[pr] = 0;
     // Invariant: an active row never holds an already-eliminated column
     // (targets erase the pivot column below), so the frozen pivot-row
-    // structure is {pc} plus still-active columns — exactly the legacy U
-    // row superset.
+    // structure is {pc} plus still-active columns — exactly the U row
+    // superset of construction.
     step_ucols[step] = cur[pr];
     const std::vector<std::size_t>& ucols = step_ucols[step];
     for (std::size_t r = 0; r < n_; ++r) {
@@ -260,99 +333,120 @@ void SparseLu::CompileProgram() {
   }
 
   // Assign slots: rows concatenated, column-sorted within each row.
-  row_slot_ptr_.assign(n_ + 1, 0);
+  p.row_slot_ptr.assign(n_ + 1, 0);
   for (std::size_t r = 0; r < n_; ++r) {
-    row_slot_ptr_[r + 1] = row_slot_ptr_[r] + all[r].size();
+    p.row_slot_ptr[r + 1] = p.row_slot_ptr[r] + all[r].size();
   }
-  slot_col_.clear();
-  slot_col_.reserve(row_slot_ptr_[n_]);
+  p.slot_col.reserve(p.row_slot_ptr[n_]);
   for (std::size_t r = 0; r < n_; ++r) {
-    slot_col_.insert(slot_col_.end(), all[r].begin(), all[r].end());
+    p.slot_col.insert(p.slot_col.end(), all[r].begin(), all[r].end());
   }
-  slot_val_.assign(slot_col_.size(), Complex(0.0, 0.0));
-  csr_slot_.resize(pat_col_idx_.size());
+  p.csr_slot.resize(pat_col_idx_.size());
+  bool identity = p.csr_slot.size() == p.SlotCount();
+  std::vector<char> loaded(p.SlotCount(), 0);
   for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t k = pat_row_ptr_[r]; k < pat_row_ptr_[r + 1]; ++k) {
-      csr_slot_[k] = SlotOf(r, pat_col_idx_[k]);
+      const std::size_t s = p.SlotOf(r, pat_col_idx_[k]);
+      p.csr_slot[k] = s;
+      loaded[s] = 1;
+      identity = identity && s == k;
+    }
+  }
+  if (identity) {
+    p.csr_slot.clear();
+  } else {
+    for (std::size_t s = 0; s < loaded.size(); ++s) {
+      if (!loaded[s]) p.fill_slots.push_back(s);
     }
   }
 
   // Pass 2: resolve the recorded structures into slot indices.
-  step_pivot_slot_.assign(n_, kNoSlot);
-  step_u_ptr_.assign(n_ + 1, 0);
-  step_target_ptr_.assign(n_ + 1, 0);
-  u_slot_.clear();
-  u_col_.clear();
-  target_row_.clear();
-  target_mult_slot_.clear();
-  target_op_ptr_.clear();
-  op_dst_.clear();
-  op_src_.clear();
+  p.step_pivot_slot.assign(n_, kNoSlot);
+  p.step_u_ptr.assign(n_ + 1, 0);
+  p.step_target_ptr.assign(n_ + 1, 0);
   for (std::size_t step = 0; step < n_; ++step) {
     const std::size_t pr = row_perm_[step];
     const std::size_t pc = col_perm_[step];
-    step_pivot_slot_[step] = SlotOf(pr, pc);
+    p.step_pivot_slot[step] = p.SlotOf(pr, pc);
     for (std::size_t c : step_ucols[step]) {
       if (c == pc) continue;
-      u_slot_.push_back(SlotOf(pr, c));
-      u_col_.push_back(c);
+      p.u_slot.push_back(p.SlotOf(pr, c));
+      p.u_col.push_back(c);
     }
-    step_u_ptr_[step + 1] = u_slot_.size();
+    p.step_u_ptr[step + 1] = p.u_slot.size();
     for (std::size_t r : step_targets[step]) {
-      target_row_.push_back(r);
-      target_mult_slot_.push_back(SlotOf(r, pc));
-      target_op_ptr_.push_back(op_dst_.size());
-      for (std::size_t u = step_u_ptr_[step]; u < step_u_ptr_[step + 1];
+      p.target_row.push_back(r);
+      p.target_mult_slot.push_back(p.SlotOf(r, pc));
+      p.target_op_ptr.push_back(p.op_dst.size());
+      for (std::size_t u = p.step_u_ptr[step]; u < p.step_u_ptr[step + 1];
            ++u) {
-        op_dst_.push_back(SlotOf(r, u_col_[u]));
-        op_src_.push_back(u_slot_[u]);
+        p.op_dst.push_back(p.SlotOf(r, p.u_col[u]));
+        p.op_src.push_back(p.u_slot[u]);
       }
     }
-    step_target_ptr_[step + 1] = target_row_.size();
+    p.step_target_ptr[step + 1] = p.target_row.size();
   }
-  target_op_ptr_.push_back(op_dst_.size());
-  have_program_ = true;
+  p.target_op_ptr.push_back(p.op_dst.size());
+  program_ = std::move(program);
+  slot_val_.assign(p.SlotCount(), Complex(0.0, 0.0));
   flat_valid_ = false;
 }
 
-std::size_t SparseLu::SlotOf(std::size_t row, std::size_t col) const {
-  const auto begin = slot_col_.begin() + row_slot_ptr_[row];
-  const auto end = slot_col_.begin() + row_slot_ptr_[row + 1];
-  const auto it = std::lower_bound(begin, end, col);
-  if (it == end || *it != col) return kNoSlot;
-  return static_cast<std::size_t>(it - slot_col_.begin());
+bool SparseLu::AdoptProgram(const std::shared_ptr<const FactorProgram>& program) {
+  static metrics::Counter& shared =
+      metrics::GetCounter("linalg.sparse_lu.program_shared");
+  if (program_ || !program || program->n != n_ ||
+      program->nnz != pat_col_idx_.size() || program->row_perm != row_perm_ ||
+      program->col_perm != col_perm_) {
+    return false;
+  }
+  program_ = program;
+  slot_val_.assign(program_->SlotCount(), Complex(0.0, 0.0));
+  flat_valid_ = false;
+  shared.Add();
+  return true;
 }
 
-void SparseLu::LoadLegacyFactor() {
+void SparseLu::LoadConstructionFactor() {
+  const FactorProgram& p = *program_;
   std::fill(slot_val_.begin(), slot_val_.end(), Complex(0.0, 0.0));
   for (std::size_t step = 0; step < n_; ++step) {
     const std::size_t pr = row_perm_[step];
-    for (const Entry& e : upper_[step]) {
-      const std::size_t s = SlotOf(pr, e.col);
+    for (std::size_t e = upper_ptr_[step]; e < upper_ptr_[step + 1]; ++e) {
+      const std::size_t s = p.SlotOf(pr, upper_[e].col);
       if (s == kNoSlot) {
         throw util::NumericError(
             "sparse LU factor entry outside compiled pattern");
       }
-      slot_val_[s] = e.val;
+      slot_val_[s] = upper_[e].val;
     }
-    for (const Entry& e : lower_[step]) {
+    for (std::size_t e = lower_ptr_[step]; e < lower_ptr_[step + 1]; ++e) {
       // lower_ entries store (target row, multiplier) for pivot column
       // col_perm_[step].
-      const std::size_t s = SlotOf(e.col, col_perm_[step]);
+      const std::size_t s = p.SlotOf(lower_[e].col, col_perm_[step]);
       if (s == kNoSlot) {
         throw util::NumericError(
             "sparse LU multiplier outside compiled pattern");
       }
-      slot_val_[s] = e.val;
+      slot_val_[s] = lower_[e].val;
     }
   }
+  // half_ still holds construction's pivot halves: the pivot slots hold
+  // those same values.
   flat_valid_ = true;
+}
+
+void SparseLu::CheckValid() const {
+  if (!valid_) {
+    throw util::NumericError("sparse LU factor invalid after a rejected refactor");
+  }
 }
 
 void SparseLu::EnsureFlatFactor() {
   if (flat_valid_) return;
-  if (!have_program_) CompileProgram();
-  LoadLegacyFactor();
+  CheckValid();
+  if (!program_) CompileProgram();
+  LoadConstructionFactor();
 }
 
 bool SparseLu::ReplayRefactor(const CsrMatrix& a) {
@@ -360,115 +454,125 @@ bool SparseLu::ReplayRefactor(const CsrMatrix& a) {
       metrics::GetCounter("linalg.sparse_lu.refactor");
   static metrics::Counter& fallback_count =
       metrics::GetCounter("linalg.sparse_lu.refactor_fallback");
+  const FactorProgram& p = *program_;
   flat_valid_ = false;
-  // Load: zero every slot, then scatter the CSR values through the
-  // precomputed slot map (CSR positions are unique, so plain stores).
-  std::fill(slot_val_.begin(), slot_val_.end(), Complex(0.0, 0.0));
+  valid_ = false;
+  // Load: scatter the CSR values through the slot map (CSR positions are
+  // unique, so plain stores) and zero the fill slots; with no fill the map
+  // is the identity and the load is a copy.
+  Complex* const sv = slot_val_.data();
   const std::vector<Complex>& vals = a.Values();
-  for (std::size_t k = 0; k < vals.size(); ++k) {
-    slot_val_[csr_slot_[k]] = vals[k];
+  if (p.csr_slot.empty()) {
+    std::copy(vals.begin(), vals.end(), sv);
+  } else {
+    for (std::size_t s : p.fill_slots) sv[s] = Complex(0.0, 0.0);
+    for (std::size_t k = 0; k < vals.size(); ++k) sv[p.csr_slot[k]] = vals[k];
   }
   // Replay: per step one pivot check, then per target one division plus a
-  // run of indexed multiply-subtracts.  The value conditions mirror the
-  // legacy pass exactly: an absent entry is a zero-valued slot, so a
+  // run of indexed multiply-subtracts.  The value conditions mirror
+  // construction exactly: an absent entry is a zero-valued slot, so a
   // missing pivot fails the same |piv| test and a missing multiplier takes
-  // the same m == 0 skip.
-  Complex* const sv = slot_val_.data();
+  // the same m == 0 skip.  A pivot in the division fast range is far above
+  // kSingularAbs, so only the others take the pivot test.
+  const std::size_t* const op_dst = p.op_dst.data();
+  const std::size_t* const op_src = p.op_src.data();
   for (std::size_t step = 0; step < n_; ++step) {
-    const std::size_t pslot = step_pivot_slot_[step];
+    const std::size_t pslot = p.step_pivot_slot[step];
     const Complex piv = pslot == kNoSlot ? Complex(0.0, 0.0) : sv[pslot];
-    if (std::abs(piv) <= kSingularAbs) {
+    const DivisorHalf half = MakeDivisorHalf(piv);
+    half_[step] = half;
+    if (!half.fast && PivotVanished(piv)) {
       fallback_count.Add();
       return false;
     }
-    for (std::size_t t = step_target_ptr_[step];
-         t < step_target_ptr_[step + 1]; ++t) {
-      const std::size_t mslot = target_mult_slot_[t];
-      const Complex m = sv[mslot] / piv;
+    for (std::size_t t = p.step_target_ptr[step];
+         t < p.step_target_ptr[step + 1]; ++t) {
+      const std::size_t mslot = p.target_mult_slot[t];
+      const Complex m = Divide(sv[mslot], half);
       sv[mslot] = m;
       if (m == Complex(0.0, 0.0)) continue;
-      if (std::abs(m) > kRefactorGrowthLimit) {
+      if (ExceedsGrowthLimit(m)) {
         fallback_count.Add();
         return false;
       }
-      const std::size_t op_end = target_op_ptr_[t + 1];
-      for (std::size_t o = target_op_ptr_[t]; o < op_end; ++o) {
-        sv[op_dst_[o]] -= m * sv[op_src_[o]];
+      const std::size_t op_end = p.target_op_ptr[t + 1];
+      for (std::size_t o = p.target_op_ptr[t]; o < op_end; ++o) {
+        sv[op_dst[o]] -= m * sv[op_src[o]];
       }
     }
   }
   refactor_count.Add();
+  valid_ = true;
   flat_valid_ = true;
   return true;
 }
 
 bool SparseLu::Refactor(const CsrMatrix& a) {
-  if (a.Rows() != n_ || a.Cols() != n_) {
-    throw util::NumericError("sparse LU refactor dimension mismatch");
+  if (a.Rows() != n_ || a.Cols() != n_ ||
+      a.NonZeroCount() != pat_col_idx_.size()) {
+    throw util::NumericError("sparse LU refactor pattern mismatch");
   }
-  if (!have_program_ || a.RowPointers() != pat_row_ptr_ ||
-      a.ColumnIndices() != pat_col_idx_) {
-    pat_row_ptr_ = a.RowPointers();
-    pat_col_idx_ = a.ColumnIndices();
-    CompileProgram();
-  }
+  if (!program_) CompileProgram();
   return ReplayRefactor(a);
 }
 
 Vector SparseLu::Solve(const Vector& b) {
+  Vector x;
+  Solve(b, x);
+  return x;
+}
+
+void SparseLu::Solve(const Vector& b, Vector& x) {
   if (b.size() != n_) {
     throw util::NumericError("sparse LU solve dimension mismatch");
   }
+  CheckValid();
   // Forward elimination replayed on a scratch copy of b.
   Vector& work = work_b_;
   work.data().assign(b.data().begin(), b.data().end());
   Vector& y = work_y_;
   y.Resize(n_);
+  x.Resize(n_);
+  const DivisorHalf* const half = half_.data();
   if (flat_valid_) {
-    // Program path: same per-entry operation sequence as the legacy rows
-    // (targets in ascending row order, U entries in ascending column
+    // Program path: same per-entry operation sequence as the construction
+    // rows (targets in ascending row order, U entries in ascending column
     // order), reading values from the flat slot array.
+    const FactorProgram& p = *program_;
     const Complex* const sv = slot_val_.data();
     for (std::size_t step = 0; step < n_; ++step) {
-      const Complex yk = work[row_perm_[step]];
+      const Complex yk = work[p.row_perm[step]];
       y[step] = yk;
-      for (std::size_t t = step_target_ptr_[step];
-           t < step_target_ptr_[step + 1]; ++t) {
-        work[target_row_[t]] -= sv[target_mult_slot_[t]] * yk;
+      for (std::size_t t = p.step_target_ptr[step];
+           t < p.step_target_ptr[step + 1]; ++t) {
+        work[p.target_row[t]] -= sv[p.target_mult_slot[t]] * yk;
       }
     }
-    Vector x(n_);
     for (std::size_t s = n_; s-- > 0;) {
       Complex acc = y[s];
-      for (std::size_t u = step_u_ptr_[s]; u < step_u_ptr_[s + 1]; ++u) {
-        acc -= sv[u_slot_[u]] * x[u_col_[u]];
+      for (std::size_t u = p.step_u_ptr[s]; u < p.step_u_ptr[s + 1]; ++u) {
+        acc -= sv[p.u_slot[u]] * x[p.u_col[u]];
       }
-      const std::size_t pslot = step_pivot_slot_[s];
-      const Complex piv = pslot == kNoSlot ? Complex(0.0, 0.0) : sv[pslot];
-      x[col_perm_[s]] = acc / piv;
+      x[p.col_perm[s]] = Divide(acc, half[s]);
     }
-    return x;
+    return;
   }
   for (std::size_t step = 0; step < n_; ++step) {
-    Complex yk = work[row_perm_[step]];
+    const Complex yk = work[row_perm_[step]];
     y[step] = yk;
-    for (const Entry& e : lower_[step]) work[e.col] -= e.val * yk;
+    for (std::size_t e = lower_ptr_[step]; e < lower_ptr_[step + 1]; ++e) {
+      work[lower_[e].col] -= lower_[e].val * yk;
+    }
   }
   // Backward substitution over the permuted upper factor.
-  Vector x(n_);
   for (std::size_t s = n_; s-- > 0;) {
     Complex acc = y[s];
-    Complex piv(0.0, 0.0);
-    for (const Entry& e : upper_[s]) {
-      if (e.col == col_perm_[s]) {
-        piv = e.val;
-      } else {
-        acc -= e.val * x[e.col];
-      }
+    const std::size_t pc = col_perm_[s];
+    for (std::size_t e = upper_ptr_[s]; e < upper_ptr_[s + 1]; ++e) {
+      if (upper_[e].col != pc) acc -= upper_[e].val * x[upper_[e].col];
     }
-    x[col_perm_[s]] = acc / piv;
+    x[pc] = Divide(acc, half[s]);
   }
-  return x;
 }
 
 Vector SparseLu::SolveTranspose(const Vector& c) {
@@ -480,6 +584,7 @@ Vector SparseLu::SolveTranspose(const Vector& c) {
   // A^T lambda = c becomes U^T L^T (P lambda) = Q c, so the two triangular
   // sweeps of Solve() run in reverse order against the same slot values.
   EnsureFlatFactor();
+  const FactorProgram& p = *program_;
   if (row_pos_.size() != n_) {
     row_pos_.resize(n_);
     for (std::size_t k = 0; k < n_; ++k) row_pos_[row_perm_[k]] = k;
@@ -495,12 +600,10 @@ Vector SparseLu::SolveTranspose(const Vector& c) {
   Vector& z = work_y_;
   z.Resize(n_);
   for (std::size_t s = 0; s < n_; ++s) {
-    const std::size_t pslot = step_pivot_slot_[s];
-    const Complex piv = pslot == kNoSlot ? Complex(0.0, 0.0) : sv[pslot];
-    const Complex zs = work[s] / piv;
+    const Complex zs = Divide(work[s], half_[s]);
     z[s] = zs;
-    for (std::size_t u = step_u_ptr_[s]; u < step_u_ptr_[s + 1]; ++u) {
-      work[col_pos_[u_col_[u]]] -= sv[u_slot_[u]] * zs;
+    for (std::size_t u = p.step_u_ptr[s]; u < p.step_u_ptr[s + 1]; ++u) {
+      work[col_pos_[p.u_col[u]]] -= sv[p.u_slot[u]] * zs;
     }
   }
   // L^T w = z.  L is unit lower triangular in step space (step k's
@@ -508,9 +611,9 @@ Vector SparseLu::SolveTranspose(const Vector& c) {
   // L^T substitutes backward, reusing `work` for w.
   for (std::size_t k = n_; k-- > 0;) {
     Complex acc = z[k];
-    for (std::size_t t = step_target_ptr_[k]; t < step_target_ptr_[k + 1];
+    for (std::size_t t = p.step_target_ptr[k]; t < p.step_target_ptr[k + 1];
          ++t) {
-      acc -= sv[target_mult_slot_[t]] * work[row_pos_[target_row_[t]]];
+      acc -= sv[p.target_mult_slot[t]] * work[row_pos_[p.target_row[t]]];
     }
     work[k] = acc;
   }
@@ -528,10 +631,7 @@ std::size_t SparseLu::FactorNonZeroCount() const {
     }
     return nnz;
   }
-  std::size_t nnz = 0;
-  for (const auto& r : lower_) nnz += r.size();
-  for (const auto& r : upper_) nnz += r.size();
-  return nnz;
+  return upper_.size() + lower_.size();
 }
 
 Vector SolveSparse(const CsrMatrix& a, const Vector& b, SparseLuOptions options) {

@@ -3,14 +3,25 @@
 // "Sparse matrix techniques").
 //
 // Construction performs the full value-guided symbolic+numeric
-// factorization with rows held as sorted (column, value) vectors.  Repeated
+// factorization with rows held as sorted (column, value) runs.  Repeated
 // numeric-only refactorizations (the AC-sweep fast path) do not re-run that
 // machinery: the first Refactor() compiles the elimination into a *factor
 // program* — a symbolic-superset schedule of flat value-array indices (see
 // CompileProgram) — and every subsequent refactor is a branch-light replay
-// of multiplier divisions and indexed multiply-subtracts.
+// of multiplier divisions and indexed multiply-subtracts.  A program
+// depends only on the sparsity pattern and the pivot order, so it is an
+// immutable object that factors of one pattern and order share by pointer
+// (AdoptProgram).
+//
+// Every division goes through linalg::Divide (complex_div.hpp), and the
+// pivot and growth tests avoid hypot where the answer is clear; both give
+// the bits and decisions of the plain std::complex operators.
 #pragma once
 
+#include <algorithm>
+#include <memory>
+
+#include "linalg/complex_div.hpp"
 #include "linalg/sparse.hpp"
 
 namespace mcdft::linalg {
@@ -22,6 +33,10 @@ struct SparseLuOptions {
   double pivot_threshold = 0.1;
 };
 
+/// A compiled factor program (defined in sparse_lu.cpp).  Immutable: one
+/// program serves every factor of its pattern and pivot order.
+class FactorProgram;
+
 /// Sparse LU of a square CSR matrix.  Construction performs the full
 /// symbolic+numeric factorization; Solve() is then cheap and reusable.
 class SparseLu {
@@ -30,17 +45,19 @@ class SparseLu {
   /// util::McdftError (category kSingularSystem) on singular input.
   explicit SparseLu(const CsrMatrix& a, SparseLuOptions options = {});
 
-  /// Numeric-only refactorization: redo the elimination of `a` (same
-  /// dimension, values may differ) reusing the pivot ordering chosen at
-  /// construction, skipping the Markowitz analysis.  This is the classic
-  /// circuit-simulator fast path: across an AC sweep (and across
-  /// parametric faults) the sparsity pattern is invariant and the ordering
-  /// stays numerically adequate.
+  /// Numeric-only refactorization: redo the elimination of `a` reusing the
+  /// pivot ordering chosen at construction, skipping the Markowitz
+  /// analysis.  `a` must have the sparsity pattern of the matrix this
+  /// factor was constructed from (its values may differ); only its size and
+  /// entry count are checked.  This is the classic circuit-simulator fast path: across an
+  /// AC sweep (and across parametric faults) the sparsity pattern is
+  /// invariant and the ordering stays numerically adequate.
   ///
   /// Returns false when the fixed ordering is no longer safe for these
   /// values (a vanished pivot or an elimination multiplier above
-  /// `kRefactorGrowthLimit`); the factor is then invalid and the caller
-  /// must construct a fresh SparseLu (full pivot search).
+  /// `kRefactorGrowthLimit`); the factor is then invalid (solves throw)
+  /// until a later Refactor succeeds, and the caller must construct a fresh
+  /// SparseLu (full pivot search).
   bool Refactor(const CsrMatrix& a);
 
   /// Multiplier-magnitude bound beyond which Refactor() refuses the cached
@@ -50,10 +67,35 @@ class SparseLu {
   /// while still catching genuine pivot collapse.
   static constexpr double kRefactorGrowthLimit = 1e6;
 
+  /// A pivot of magnitude at or below this is treated as vanished.
+  static constexpr double kSingularAbs = 1e-300;
+
+  /// std::abs(piv) <= kSingularAbs, deciding from the larger part where
+  /// that settles it (|piv| >= max(|re|, |im|)).
+  [[gnu::always_inline]] static bool PivotVanished(Complex piv) {
+    const double major = std::max(std::fabs(piv.real()), std::fabs(piv.imag()));
+    if (major > kSingularAbs * (1.0 + 1e-9)) return false;
+    return std::abs(piv) <= kSingularAbs;
+  }
+
+  /// std::abs(m) > kRefactorGrowthLimit, deciding from the squared norm
+  /// outside a 1e-9 relative margin around the limit (an overflowing square
+  /// reads +inf, a NaN falls through to std::abs).
+  [[gnu::always_inline]] static bool ExceedsGrowthLimit(Complex m) {
+    constexpr double kLimit2 = kRefactorGrowthLimit * kRefactorGrowthLimit;
+    const double norm2 = m.real() * m.real() + m.imag() * m.imag();
+    if (norm2 > kLimit2 * (1.0 + 1e-9)) return true;
+    if (norm2 < kLimit2 * (1.0 - 1e-9)) return false;
+    return std::abs(m) > kRefactorGrowthLimit;
+  }
+
   /// Solve A x = b.  Non-const: the triangular passes run through member
-  /// scratch buffers so repeated solves (one per sweep point) do not
-  /// allocate beyond the returned vector.
+  /// scratch buffers.
   Vector Solve(const Vector& b);
+
+  /// Solve A x = b into `x` (resized; its storage is reused, so a sweep
+  /// solving once per point does not allocate).  `x` must not alias `b`.
+  void Solve(const Vector& b, Vector& x);
 
   /// Solve A^T lambda = c reusing the existing factorization: with
   /// A = P^-1 L U Q the adjoint system is U^T L^T (P lambda) = Q c, so the
@@ -74,9 +116,9 @@ class SparseLu {
   /// metric, exercised by the perf bench and ordering tests).
   std::size_t FactorNonZeroCount() const;
 
-  /// True once the factor program has been compiled (first Refactor,
-  /// SolveTranspose or EnsureFactorProgram).  Exposed for tests.
-  bool HasFactorProgram() const noexcept { return have_program_; }
+  /// True once the factor has a program (compiled by the first Refactor,
+  /// SolveTranspose or EnsureFactorProgram, or adopted).  For tests.
+  bool HasFactorProgram() const noexcept { return program_ != nullptr; }
 
   /// Compile the factor program and move the current factor into the flat
   /// storage now (normally lazy).  Solve() then runs the program path at
@@ -85,86 +127,70 @@ class SparseLu {
   /// solves see one operation sequence per sweep.
   void EnsureFactorProgram() { EnsureFlatFactor(); }
 
+  /// The factor program (null until compiled or adopted).
+  const std::shared_ptr<const FactorProgram>& Program() const noexcept {
+    return program_;
+  }
+
+  /// Use `program` instead of compiling one, when it was compiled for this
+  /// factor's pivot order; returns whether it was adopted.  The caller
+  /// vouches that it was compiled for this factor's sparsity pattern.  A
+  /// factor that already has a program keeps it.
+  bool AdoptProgram(const std::shared_ptr<const FactorProgram>& program);
+
  private:
   struct Entry {
     std::size_t col;
     Complex val;
   };
-  using SparseRow = std::vector<Entry>;  // sorted by col
-
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  /// row -= m * (urow restricted to still-active columns); sorted merge
-  /// through `scratch` (buffer swapped into `row`, capacities recirculate).
-  static void EliminateRow(SparseRow& row, const SparseRow& urow,
-                           const std::vector<bool>& col_active, Complex m,
-                           SparseRow& scratch);
-
-  /// Rebuild the working rows of `a` into `rows` for an elimination pass,
-  /// keeping each row's capacity from the previous pass.
-  static void BuildRows(const CsrMatrix& a, std::vector<SparseRow>& rows);
 
   /// Compile the factor program for the pattern in pat_row_ptr_/
   /// pat_col_idx_ under the fixed pivot sequence (see the .cpp).
   void CompileProgram();
 
-  /// Scatter the construction-time factor (lower_/upper_) into the flat
+  /// Scatter the construction-time factor (upper_/lower_) into the flat
   /// slot array so Solve can run the program before any Refactor
   /// happened.
-  void LoadLegacyFactor();
+  void LoadConstructionFactor();
 
   /// Replay the program over the values of `a` (same pattern); the numeric
   /// body of Refactor().
   bool ReplayRefactor(const CsrMatrix& a);
 
-  /// Compile the program and load current factor values if not already
-  /// flat (a freshly constructed factor).
+  /// Compile the program (unless adopted) and load the current factor
+  /// values if not already flat (a freshly constructed factor).
   void EnsureFlatFactor();
 
-  /// Slot index of position (row, col); kNoSlot when outside the compiled
-  /// structure.
-  std::size_t SlotOf(std::size_t row, std::size_t col) const;
+  /// Throw unless the factor holds a usable factorization.
+  void CheckValid() const;
 
   std::size_t n_ = 0;
-  // Rows of the combined LU factor from construction, in elimination order.
-  // Superseded by the flat slot storage once the program is compiled.
-  std::vector<SparseRow> lower_;        // multipliers, cols < pivot col order
-  std::vector<SparseRow> upper_;        // pivot + trailing entries
+  // The factor from construction, step-major: step s froze its pivot row
+  // (pivot plus trailing entries, column-sorted) into upper_[upper_ptr_[s],
+  // upper_ptr_[s+1]) and produced the multipliers (target row, m) in
+  // lower_[lower_ptr_[s], lower_ptr_[s+1]).  Superseded by the flat slot
+  // storage once a Refactor replays the program.
+  std::vector<Entry> upper_;
+  std::vector<std::size_t> upper_ptr_;  // n+1
+  std::vector<Entry> lower_;
+  std::vector<std::size_t> lower_ptr_;  // n+1
   std::vector<std::size_t> row_perm_;   // elimination step k used original row row_perm_[k]
   std::vector<std::size_t> col_perm_;   // step k eliminated original column col_perm_[k]
   std::vector<std::size_t> col_pos_;    // inverse of col_perm_
   std::vector<std::size_t> row_pos_;    // inverse of row_perm_ (lazy, for
                                         // SolveTranspose)
-
-  // ---- Factor program (compiled by CompileProgram) -----------------------
-  // Pattern the program was compiled for (CSR row pointers + column
-  // indices); Refactor recompiles when the incoming pattern differs.
-  bool have_program_ = false;
-  bool flat_valid_ = false;  // slot_val_ holds the current factor
+  // Pattern the factor was constructed for (CSR row pointers + column
+  // indices), the input of CompileProgram.
   std::vector<std::size_t> pat_row_ptr_;
   std::vector<std::size_t> pat_col_idx_;
-  // Flat storage: one slot per (row, column) position the elimination can
-  // ever touch, grouped by original row, column-sorted within a row.
-  std::vector<std::size_t> row_slot_ptr_;  // n+1
-  std::vector<std::size_t> slot_col_;
+
+  std::shared_ptr<const FactorProgram> program_;
+  bool valid_ = true;        // false after a rejected Refactor
+  bool flat_valid_ = false;  // slot_val_ holds the current factor
   std::vector<Complex> slot_val_;
-  std::vector<std::size_t> csr_slot_;      // CSR entry k -> slot
-  // Per elimination step: the pivot slot, the frozen U entries of the
-  // pivot row excluding the pivot itself (for the backward pass), and the
-  // target rows with their multiplier slots.  Each target applies the ops
-  // (dst -= m * src) listed per step in op_dst_/op_src_ — targets of one
-  // step share the src sequence, so ops are stored target-major with a
-  // fixed per-target width of (step_u_ptr_ delta).
-  std::vector<std::size_t> step_pivot_slot_;  // n (kNoSlot = missing pivot)
-  std::vector<std::size_t> step_u_ptr_;       // n+1 -> u_slot_/u_col_
-  std::vector<std::size_t> u_slot_;
-  std::vector<std::size_t> u_col_;
-  std::vector<std::size_t> step_target_ptr_;  // n+1 -> target_row_/...
-  std::vector<std::size_t> target_row_;
-  std::vector<std::size_t> target_mult_slot_;
-  std::vector<std::size_t> target_op_ptr_;    // per target -> op_dst_/op_src_
-  std::vector<std::size_t> op_dst_;
-  std::vector<std::size_t> op_src_;
+  // Per step: the divisor half of the current factor's pivot, shared by
+  // every division by that pivot (construction, refactor and solves).
+  std::vector<DivisorHalf> half_;
 
   // Solve() workspace (forward-elimination copy of b and intermediate y).
   Vector work_b_;

@@ -75,7 +75,7 @@ std::vector<FrequencyResponse> AcAnalyzer::RunMulti(
   // analyzer solved before it.
   cache_.BeginSweep();
   for (double f : sweep.Frequencies()) {
-    MnaSolution sol = cache_.SolveAcHz(system_, f);
+    const MnaSolution& sol = cache_.SolveAcHz(system_, f);
     for (std::size_t p = 0; p < probes.size(); ++p) {
       out[p].values.push_back(
           sol.VoltageBetween(probes[p].plus, probes[p].minus));

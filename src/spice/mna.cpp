@@ -484,7 +484,18 @@ void AcStampProgram::Evaluate(double omega, linalg::CsrAssembly& pattern,
   rhs.data() = rhs_.data();
 }
 
-MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
+void MnaSolveCache::KeepProgram() {
+  if (lu_program_kept_ || !lu_->Program()) return;
+  lu_program_kept_ = true;
+  if (programs_.size() < kMaxPrograms) {
+    programs_.push_back(lu_->Program());
+    return;
+  }
+  programs_[next_program_] = lu_->Program();
+  next_program_ = (next_program_ + 1) % kMaxPrograms;
+}
+
+const MnaSolution& MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
   static metrics::Counter& solve_count = metrics::GetCounter("spice.mna.solve");
   static metrics::Counter& program_records =
       metrics::GetCounter("spice.mna.program_records");
@@ -510,13 +521,20 @@ MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
       pattern_rebuild.Add();
       pattern_.emplace(a_);  // structure changed (or first solve)
       lu_.reset();
+      programs_.clear();
+      next_program_ = 0;
     }
     program_.Bind(*pattern_);
     recorded_ = true;
   }
   program_.Evaluate(omega, *pattern_, rhs_);
   const linalg::CsrMatrix& m = pattern_->Matrix();
-  if (lu_ && lu_->Refactor(m)) {
+  bool refactored = false;
+  if (lu_) {
+    refactored = lu_->Refactor(m);
+    KeepProgram();  // the first Refactor compiles, accepted or not
+  }
+  if (refactored) {
     refactor_hit.Add();
     ++refactor_count_;
   } else {
@@ -534,10 +552,21 @@ MnaSolution MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
         shared_->Publish(SharedFactorCache::KeyOf(m), *lu_);
       }
     }
+    // A repeated pivot order adopts its stored program.
+    lu_program_kept_ = false;
+    for (const auto& stored : programs_) {
+      if (lu_->AdoptProgram(stored)) {
+        lu_program_kept_ = true;
+        break;
+      }
+    }
     full_factor.Add();
     ++full_factor_count_;
   }
-  return sys.WrapSolution(lu_->Solve(rhs_));
+  linalg::Vector x = std::move(solution_.x_);
+  lu_->Solve(rhs_, x);
+  solution_ = sys.WrapSolution(std::move(x));
+  return solution_;
 }
 
 std::size_t MnaSystem::BranchUnknown(std::size_t element_idx,

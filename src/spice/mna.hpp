@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -78,6 +79,8 @@ class MnaSolution {
   const linalg::Vector& Raw() const { return x_; }
 
  private:
+  friend class MnaSolveCache;  // solves into x_'s storage point after point
+
   linalg::Vector x_;
   const std::vector<std::size_t>* branch_base_;  // owned by the MnaSystem
   std::size_t node_unknowns_;
@@ -235,8 +238,20 @@ class AcStampProgram {
 /// ordering chosen at the first full factorization after BeginSweep().
 /// Callers call BeginSweep() at each sweep boundary so the ordering is
 /// always derived from the sweep's own first point.
+///
+/// Factor programs: a program is a pure function of the pattern and the
+/// pivot order, so the cache keeps the last kMaxPrograms programs its
+/// factors compiled for the current pattern, and a full factorization
+/// whose Markowitz order repeats one of them adopts it instead of
+/// compiling again (Monte-Carlo samples of one configuration mostly share
+/// a few orders; a refactor rejection often returns to an earlier order).
+/// Adopting gives the same program, so results do not depend on what the
+/// cache saw before.  The programs are dropped with the pattern.
 class MnaSolveCache {
  public:
+  /// Programs kept per pattern; the oldest is replaced first.
+  static constexpr std::size_t kMaxPrograms = 16;
+
   /// `shared` (may be null) is MnaOptions::shared_factor_cache: full
   /// factorizations look it up first and publish to it on a miss.
   explicit MnaSolveCache(SharedFactorCache* shared = nullptr)
@@ -255,8 +270,9 @@ class MnaSolveCache {
   /// Assemble and solve `sys` at AC frequency `hz`: the sweep's first point
   /// records the stamp program, later points replay it.  The sparse LU
   /// refactors under the cached pivot ordering, falling back to a full
-  /// factorization whenever the ordering is rejected.
-  MnaSolution SolveAcHz(const MnaSystem& sys, double hz);
+  /// factorization whenever the ordering is rejected.  The solution lives
+  /// in the cache and is overwritten by the next call.
+  const MnaSolution& SolveAcHz(const MnaSystem& sys, double hz);
 
   /// Diagnostics: how many solves went through the numeric-only refactor
   /// fast path vs. a full factorization (exposed for tests and benches).
@@ -264,11 +280,19 @@ class MnaSolveCache {
   std::size_t FullFactorCount() const { return full_factor_count_; }
 
  private:
+  /// Remember lu_'s program if its last Refactor compiled a new one.
+  void KeepProgram();
+
   linalg::TripletMatrix a_;
   linalg::Vector rhs_;
   std::optional<linalg::CsrAssembly> pattern_;
   std::optional<linalg::SparseLu> lu_;
+  // Factor programs of pattern_ (see the class comment).
+  std::vector<std::shared_ptr<const linalg::FactorProgram>> programs_;
+  std::size_t next_program_ = 0;  // slot the next program replaces when full
+  bool lu_program_kept_ = false;  // lu_'s program is in programs_
   AcStampProgram program_;
+  MnaSolution solution_{linalg::Vector(), nullptr, 0};
   SharedFactorCache* shared_ = nullptr;
   bool recorded_ = false;  // program_ holds this sweep's stamps
   std::size_t refactor_count_ = 0;

@@ -10,10 +10,11 @@ namespace mcdft::util {
 
 namespace {
 
-/// The whole of `text` as a decimal int >= `min_value`; `what` names the
-/// source in the error ("option --ppd", "environment MCDFT_DEADLINE_MS").
+/// The whole of `text` as a decimal int in [`min_value`, `max_value`];
+/// `what` names the source in the error ("option --ppd", "environment
+/// MCDFT_DEADLINE_MS").
 int ParseWholeInt(const std::string& text, const std::string& what,
-                  int min_value) {
+                  int min_value, int max_value = INT_MAX) {
   const char* last = text.data() + text.size();
   int v = 0;
   const auto [end, ec] = std::from_chars(text.data(), last, v);
@@ -26,6 +27,10 @@ int ParseWholeInt(const std::string& text, const std::string& what,
   if (v < min_value) {
     throw Error(what + ": '" + text + "' must be >= " +
                 std::to_string(min_value));
+  }
+  if (v > max_value) {
+    throw Error(what + ": '" + text + "' must be <= " +
+                std::to_string(max_value));
   }
   return v;
 }
@@ -72,11 +77,11 @@ double CliArgs::GetDouble(const std::string& name, double fallback) const {
   return v;
 }
 
-int CliArgs::GetInt(const std::string& name, int fallback,
-                    int min_value) const {
+int CliArgs::GetInt(const std::string& name, int fallback, int min_value,
+                    int max_value) const {
   auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return ParseWholeInt(it->second, "option --" + name, min_value);
+  return ParseWholeInt(it->second, "option --" + name, min_value, max_value);
 }
 
 std::optional<std::string> CliArgs::UnknownOption(

@@ -34,9 +34,10 @@ class CliArgs {
 
   /// Integer value of `--name`, or `fallback` when absent.  Throws
   /// util::Error naming the flag when the whole value is not a decimal
-  /// integer, does not fit an int, or is below `min_value`.
-  int GetInt(const std::string& name, int fallback,
-             int min_value = INT_MIN) const;
+  /// integer, does not fit an int, or lies outside [`min_value`,
+  /// `max_value`].
+  int GetInt(const std::string& name, int fallback, int min_value = INT_MIN,
+             int max_value = INT_MAX) const;
 
   /// The first option (in name order) that is not in `allowed`, or nullopt
   /// when every option is.

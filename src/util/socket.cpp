@@ -11,7 +11,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 
+#include "util/error.hpp"
 #include "util/faultpoint.hpp"
 
 namespace mcdft::util {
@@ -109,7 +111,26 @@ ReadStatus Conn::ReadLineBounded(std::string& line) {
   }
 }
 
+namespace {
+
+/// A negative budget would reach setsockopt as a negative timeval (which
+/// fails, leaving the socket without a timeout) or make every read time out.
+void CheckTimeout(const char* what, int ms) {
+  if (ms < 0) {
+    throw Error(std::string(what) + " timeout must be >= 0 ms, got " +
+                std::to_string(ms));
+  }
+}
+
+}  // namespace
+
+void Conn::SetReadTimeoutMs(int ms) {
+  CheckTimeout("read", ms);
+  read_timeout_ms_ = ms;
+}
+
 void Conn::SetWriteTimeoutMs(int ms) {
+  CheckTimeout("write", ms);
   if (fd_ < 0) return;
   timeval tv{};
   tv.tv_sec = ms / 1000;

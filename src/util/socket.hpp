@@ -57,9 +57,11 @@ class Conn {
   bool WriteAll(const std::string& data);
 
   /// Per-line read budget in milliseconds; 0 (default) blocks forever.
-  void SetReadTimeoutMs(int ms) { read_timeout_ms_ = ms; }
+  /// Throws util::Error on a negative budget.
+  void SetReadTimeoutMs(int ms);
 
   /// Per-send write budget (SO_SNDTIMEO); 0 (default) blocks forever.
+  /// Throws util::Error on a negative budget.
   void SetWriteTimeoutMs(int ms);
 
   /// Cap on buffered bytes awaiting a newline (see kDefaultMaxLineBytes).

@@ -61,6 +61,58 @@ TEST(SparseLu, SingularThrowsCategorizedError) {
   }
 }
 
+// A rejected refactor leaves no usable factor: solves throw until a later
+// Refactor succeeds (the pivot halves of the rejected pass are partial).
+TEST(SparseLu, RejectedRefactorInvalidatesUntilNextRefactor) {
+  const auto matrix = [](double a) {
+    TripletMatrix t(2, 2);
+    t.Add(0, 0, Complex(a, 0));
+    t.Add(0, 1, Complex(1, 0));
+    t.Add(1, 0, Complex(1, 0));
+    t.Add(1, 1, Complex(1.5, 0));
+    return CsrMatrix(t);
+  };
+  Vector b(2);
+  b[0] = Complex(1, 0);
+  b[1] = Complex(2, 0);
+  SparseLu lu(matrix(2.0));  // pivots on (0, 0)
+  EXPECT_FALSE(lu.Refactor(matrix(1e-8)));  // multiplier 1e8 > 1e6
+  EXPECT_THROW(lu.Solve(b), util::NumericError);
+  EXPECT_THROW(lu.SolveTranspose(b), util::NumericError);
+  ASSERT_TRUE(lu.Refactor(matrix(2.0)));
+  const Vector x = lu.Solve(b);
+  EXPECT_NEAR(std::abs(x[0] - Complex(-0.25, 0)), 0.0, 1e-14);
+  EXPECT_NEAR(std::abs(x[1] - Complex(1.5, 0)), 0.0, 1e-14);
+}
+
+// A program serves another factor of its pattern only under the same
+// pivot order.
+TEST(SparseLu, AdoptsOnlyAProgramOfItsPivotOrder) {
+  TripletMatrix t(2, 2);
+  t.Add(0, 0, Complex(4, 0));
+  t.Add(0, 1, Complex(1, 0));
+  t.Add(1, 0, Complex(1, 0));
+  t.Add(1, 1, Complex(3, 0));
+  TripletMatrix u = t;
+  u.Add(0, 0, Complex(-3.9, 0));  // (0, 0) = 0.1: pivots elsewhere
+  SparseLu first{CsrMatrix(t)};
+  first.EnsureFactorProgram();
+  SparseLu same{CsrMatrix(t)};
+  SparseLu other{CsrMatrix(u)};
+  EXPECT_FALSE(other.AdoptProgram(first.Program()));
+  EXPECT_FALSE(other.HasFactorProgram());
+  ASSERT_TRUE(same.AdoptProgram(first.Program()));
+  EXPECT_EQ(same.Program(), first.Program());
+  Vector b(2);
+  b[0] = Complex(1, 0);
+  b[1] = Complex(2, 0);
+  ASSERT_TRUE(same.Refactor(CsrMatrix(t)));
+  const Vector x = same.Solve(b);
+  const Vector y = first.Solve(b);
+  EXPECT_EQ(x[0], y[0]);
+  EXPECT_EQ(x[1], y[1]);
+}
+
 TEST(SparseLu, StructurallySingularThrows) {
   TripletMatrix t(2, 2);
   t.Add(0, 0, Complex(1, 0));  // row/col 1 empty

@@ -460,5 +460,47 @@ TEST(ServerDaemon, NegativeSizeFlagsFailBeforeBinding) {
   fs::remove_all(dir);
 }
 
+// A negative I/O timeout or drain budget and a port outside 0-65535 stop
+// the daemon before it binds (exit 2, naming the flag or variable) instead
+// of serving with no socket timeout or on the port the value wraps to;
+// `mcdft submit` refuses the same port before dialling (exit 1).  `timeout`
+// bounds the runs: a daemon that accepted the value would serve forever.
+TEST(ServerDaemon, OutOfRangeTimeoutsAndPortFailBeforeBinding) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mcdftd_range_flag_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string sock = (dir / "d.sock").string();
+  const std::string out = (dir / "stdout.txt").string();
+  const std::string err = (dir / "stderr.txt").string();
+  struct Probe {
+    std::string env;
+    std::string args;
+    std::string names;
+  };
+  for (const Probe& probe : std::vector<Probe>{
+           {"", "--socket " + sock + " --io-timeout-ms -5", "--io-timeout-ms"},
+           {"", "--socket " + sock + " --drain-ms -7", "--drain-ms"},
+           {"MCDFT_IO_TIMEOUT_MS=-5 ", "--socket " + sock,
+            "MCDFT_IO_TIMEOUT_MS"},
+           {"", "--tcp 70000", "--tcp"},
+           {"", "--tcp -1", "--tcp"}}) {
+    EXPECT_EQ(RunCmd(probe.env + "timeout 10 " + MCDFT_MCDFTD_BIN + " " +
+                     probe.args + " > " + out + " 2> " + err),
+              2)
+        << probe.args;
+    EXPECT_NE(ReadBytes(err).find(probe.names), std::string::npos)
+        << probe.args << ": " << ReadBytes(err);
+    EXPECT_EQ(ReadBytes(out).find("listening"), std::string::npos)
+        << probe.args << ": " << ReadBytes(out);
+    EXPECT_FALSE(fs::exists(sock)) << probe.args;
+  }
+  EXPECT_EQ(RunCmd(std::string("timeout 10 ") + MCDFT_CLI_BIN +
+                   " submit --tcp 70000 --ping > /dev/null 2> " + err),
+            1);
+  EXPECT_NE(ReadBytes(err).find("--tcp"), std::string::npos) << ReadBytes(err);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace mcdft::core::server

@@ -104,6 +104,15 @@ TEST(CliArgs, IntBelowMinimumThrows) {
   EXPECT_EQ(a.GetInt("absent", 5, 0), 5);
 }
 
+// A port is read with both bounds: 70000 would otherwise wrap to 4464.
+TEST(CliArgs, IntAboveMaximumThrows) {
+  auto a = Make({"--tcp", "70000", "--port", "65535"});
+  const std::string error = ErrorOf([&] { a.GetInt("tcp", 0, 0, 65535); });
+  EXPECT_NE(error.find("--tcp"), std::string::npos) << error;
+  EXPECT_NE(error.find("<= 65535"), std::string::npos) << error;
+  EXPECT_EQ(a.GetInt("port", 0, 0, 65535), 65535);
+}
+
 TEST(CliArgs, FlagFollowedByFlag) {
   auto a = Make({"--a", "--b", "val"});
   EXPECT_TRUE(a.Has("a"));

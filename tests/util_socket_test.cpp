@@ -13,6 +13,7 @@
 #include <thread>
 #include <utility>
 
+#include "util/error.hpp"
 #include "util/faultpoint.hpp"
 
 namespace mcdft::util {
@@ -94,6 +95,16 @@ TEST_F(UtilSocket, HalfLineThenStallTimesOut) {
                            std::chrono::steady_clock::now() - start)
                            .count();
   EXPECT_GE(elapsed, 45);  // waited (about) the budget, not forever
+}
+
+// A negative budget used to reach setsockopt as a negative timeval, which
+// fails and leaves the connection with no timeout at all.
+TEST_F(UtilSocket, NegativeTimeoutsAreRefused) {
+  auto [a, b] = MakePair();
+  EXPECT_THROW(b->SetReadTimeoutMs(-5), util::Error);
+  EXPECT_THROW(b->SetWriteTimeoutMs(-5), util::Error);
+  b->SetReadTimeoutMs(0);
+  b->SetWriteTimeoutMs(0);
 }
 
 TEST_F(UtilSocket, PromptPeerBeatsTheTimeout) {

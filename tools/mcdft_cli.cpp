@@ -511,6 +511,8 @@ int CmdSubmit(const util::CliArgs& args) {
     return 2;
   }
 
+  const int tcp_port = tcp ? args.GetInt("tcp", 0, 0, 65535) : 0;
+
   // End-to-end budget: flag wins, then MCDFT_DEADLINE_MS, then unlimited.
   std::int64_t deadline_ms =
       args.GetInt("deadline-ms", util::GetEnvInt("MCDFT_DEADLINE_MS", 0));
@@ -558,7 +560,7 @@ int CmdSubmit(const util::CliArgs& args) {
     std::string transient_error;
     std::int64_t retry_after_ms = 0;
     std::unique_ptr<util::Conn> conn =
-        socket_path.empty() ? util::ConnectTcp(args.GetInt("tcp", 0))
+        socket_path.empty() ? util::ConnectTcp(tcp_port)
                             : util::ConnectUnix(socket_path);
     if (!conn) {
       transient_error = std::string("cannot connect to mcdftd at ") +

@@ -68,12 +68,12 @@ int main(int argc, char** argv) {
     }
     // Shutdown drain budget: in-flight and queued jobs get this long to
     // finish before being cancelled.
-    options.drain_budget_ms = args.GetInt("drain-ms", 5'000);
+    options.drain_budget_ms = args.GetInt("drain-ms", 5'000, 0);
     // Per-connection I/O budget (read + write); MCDFT_IO_TIMEOUT_MS wins
     // over --io-timeout-ms, 0 disables the timeouts.
     daemon_options.io_timeout_ms = util::GetEnvInt(
-        "MCDFT_IO_TIMEOUT_MS", args.GetInt("io-timeout-ms", 30'000));
-    tcp_port = args.GetInt("tcp", 0);
+        "MCDFT_IO_TIMEOUT_MS", args.GetInt("io-timeout-ms", 30'000, 0), 0);
+    tcp_port = args.GetInt("tcp", 0, 0, 65535);
     // Latch MCDFT_THREADS now: a malformed value must stop the daemon
     // here, not inside its first campaign.
     util::DefaultThreadCount();
