@@ -168,6 +168,43 @@ void BM_AcSweepCascade6(benchmark::State& state) {
 }
 BENCHMARK(BM_AcSweepCascade6);
 
+// The shared envelope pass over cascade6's full configuration space (511
+// non-transparent configurations) on the same grid, 4 samples, serial.
+// Per (sample, omega) it refactors C0 once, solves C0 and one column per
+// switched opamp, and walks the subset tree; "per_sample_point" is that
+// cost, to set against 511 x BM_AcSweepCascade6's per_point (one point of
+// every configuration's own sweep).
+void BM_SharedEnvelopeCascade6(benchmark::State& state) {
+  core::DftCircuit circuit =
+      core::DftCircuit::Transform(circuits::BuildCascade6());
+  std::vector<std::string> sites;
+  for (const auto& f : faults::MakeDeviationFaults(circuit.Circuit())) {
+    if (std::find(sites.begin(), sites.end(), f.Device()) == sites.end()) {
+      sites.push_back(f.Device());
+    }
+  }
+  std::vector<testability::FollowerSet> follower_sets;
+  for (const auto& cv : circuit.Space().AllNonTransparent()) {
+    follower_sets.push_back(cv.FollowerPositions());
+  }
+  const auto sweep = spice::SweepSpec::Decade(100.0, 1e6, 50);
+  const spice::Probe probe{circuit.Circuit().FindNode(circuit.OutputNode()),
+                           spice::kGround, "v(out)"};
+  testability::ToleranceModel model;
+  model.samples = 4;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(testability::ComputeSharedToleranceEnvelopes(
+        circuit.Circuit(), sweep, probe, sites, circuit.ConfigurableOpamps(),
+        follower_sets, model, 0.25, {}, 1));
+  }
+  state.counters["configs"] = static_cast<double>(follower_sets.size());
+  state.counters["per_sample_point"] = benchmark::Counter(
+      static_cast<double>((model.samples + 1) * sweep.PointCount()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SharedEnvelopeCascade6)->Unit(benchmark::kMillisecond);
+
 // --- Sparse LU kernels on one envelope point ---------------------------
 //
 // The system of one Monte-Carlo envelope point: the configuration above at

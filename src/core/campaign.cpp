@@ -197,26 +197,90 @@ CampaignFrame BuildCampaignFrame(DftCircuit& work,
   return frame;
 }
 
+namespace {
+
+/// The criteria every configuration shares: epsilon and the floor, in the
+/// time domain for transient campaigns.
+testability::DetectionCriteria BaseCriteria(const CampaignOptions& options) {
+  testability::DetectionCriteria base = options.criteria;
+  // Time-domain cells compare step-response envelopes against a flat
+  // epsilon: the Monte-Carlo tolerance envelope is a per-*frequency*
+  // artifact and does not transfer to the time grid.
+  if (options.analysis == CampaignAnalysis::kTransient) {
+    base.time_domain = true;
+  }
+  return base;
+}
+
+bool HasEnvelope(const CampaignOptions& options) {
+  return options.analysis == CampaignAnalysis::kAc &&
+         options.tolerance.has_value();
+}
+
+}  // namespace
+
+std::vector<std::optional<testability::DetectionCriteria>>
+PrepareCampaignCriteria(DftCircuit& work, const CampaignFrame& frame,
+                        const std::vector<ConfigVector>& configs,
+                        const CampaignOptions& options) {
+  for (const ConfigVector& cv : configs) work.CheckConfiguration(cv);
+  const testability::DetectionCriteria base = BaseCriteria(options);
+  if (!HasEnvelope(options)) {
+    return std::vector<std::optional<testability::DetectionCriteria>>(
+        configs.size(), base);
+  }
+  std::vector<testability::FollowerSet> follower_sets;
+  follower_sets.reserve(configs.size());
+  for (const ConfigVector& cv : configs) {
+    follower_sets.push_back(cv.FollowerPositions());
+  }
+  std::vector<std::vector<double>> envelopes =
+      testability::ComputeSharedToleranceEnvelopes(
+          work.Circuit(), frame.sweep, frame.probe, frame.tolerance_sites,
+          work.ConfigurableOpamps(), follower_sets, *options.tolerance,
+          base.relative_floor, options.mna, options.threads, options.cancel);
+  std::vector<std::optional<testability::DetectionCriteria>> out(
+      configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (envelopes[i].empty()) continue;  // the per-configuration fallback
+    out[i] = base;
+    out[i]->envelope = std::move(envelopes[i]);
+  }
+  return out;
+}
+
+namespace {
+
+/// Snapshot `cv`'s configured netlist with `criteria`, or with the
+/// per-configuration envelope sweep of that netlist when `criteria` is
+/// nullopt (the shared pass's guard fallback).
+PreparedConfig PrepareConfigured(
+    DftCircuit& work, const CampaignFrame& frame, const ConfigVector& cv,
+    std::optional<testability::DetectionCriteria> criteria,
+    const CampaignOptions& options) {
+  ScopedConfiguration sc(work, cv);
+  if (criteria) {
+    return PreparedConfig{work.Circuit().Clone(), std::move(*criteria)};
+  }
+  testability::DetectionCriteria fallback = BaseCriteria(options);
+  if (HasEnvelope(options)) {
+    fallback.envelope = testability::ComputeToleranceEnvelope(
+        work.Circuit(), frame.sweep, frame.probe, frame.tolerance_sites,
+        *options.tolerance, fallback.relative_floor, options.mna,
+        options.threads);
+  }
+  return PreparedConfig{work.Circuit().Clone(), std::move(fallback)};
+}
+
+}  // namespace
+
 PreparedConfig PrepareCampaignConfig(DftCircuit& work,
                                      const CampaignFrame& frame,
                                      const ConfigVector& cv,
                                      const CampaignOptions& options) {
-  ScopedConfiguration sc(work, cv);
-  testability::DetectionCriteria criteria = options.criteria;
-  if (options.analysis == CampaignAnalysis::kTransient) {
-    // Time-domain cells compare step-response envelopes against a flat
-    // epsilon: the Monte-Carlo tolerance envelope is a per-*frequency*
-    // artifact and does not transfer to the time grid.
-    criteria.time_domain = true;
-    return PreparedConfig{work.Circuit().Clone(), std::move(criteria)};
-  }
-  if (options.tolerance) {
-    criteria.envelope = testability::ComputeToleranceEnvelope(
-        work.Circuit(), frame.sweep, frame.probe, frame.tolerance_sites,
-        *options.tolerance, criteria.relative_floor, options.mna,
-        options.threads);
-  }
-  return PreparedConfig{work.Circuit().Clone(), std::move(criteria)};
+  return PrepareConfigured(
+      work, frame, cv, PrepareCampaignCriteria(work, frame, {cv}, options)[0],
+      options);
 }
 
 ConfigResult AssembleConfigRow(const ConfigVector& cv,
@@ -310,11 +374,11 @@ std::vector<spice::FrequencyResponse> SimulateUnit(
 
 }  // namespace
 
-ConfigResult RunCampaignUnit(DftCircuit& work, const CampaignFrame& frame,
-                             const ConfigVector& cv,
-                             const std::vector<faults::Fault>& fault_list,
-                             std::size_t fault_begin, std::size_t fault_end,
-                             const CampaignOptions& options) {
+ConfigResult RunCampaignUnit(
+    DftCircuit& work, const CampaignFrame& frame, const ConfigVector& cv,
+    std::optional<testability::DetectionCriteria> criteria,
+    const std::vector<faults::Fault>& fault_list, std::size_t fault_begin,
+    std::size_t fault_end, const CampaignOptions& options) {
   // Unit boundary: an optional deterministic stall (tests arm
   // `campaign.unit.stall` to slow units down and cancel mid-run; its
   // evaluation count doubles as a progress probe), then the cooperative
@@ -326,7 +390,7 @@ ConfigResult RunCampaignUnit(DftCircuit& work, const CampaignFrame& frame,
 
   const PreparedConfig prepared = [&] {
     util::trace::Span span("campaign.prepare");
-    return PrepareCampaignConfig(work, frame, cv, options);
+    return PrepareConfigured(work, frame, cv, std::move(criteria), options);
   }();
   std::vector<spice::FrequencyResponse> responses = [&] {
     util::trace::Span span("campaign.simulate");
@@ -353,8 +417,9 @@ namespace {
 std::vector<ConfigResult> RunUnitsPerWorker(
     const DftCircuit& work, const CampaignFrame& frame,
     const std::vector<faults::Fault>& fault_list,
-    const std::vector<ConfigVector>& configs, const CampaignOptions& options,
-    std::size_t threads) {
+    const std::vector<ConfigVector>& configs,
+    std::vector<std::optional<testability::DetectionCriteria>>& criteria,
+    const CampaignOptions& options, std::size_t threads) {
   CampaignOptions unit_options = options;
   unit_options.threads = 1;
   std::vector<DftCircuit> clones;
@@ -372,8 +437,10 @@ std::vector<ConfigResult> RunUnitsPerWorker(
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= configs.size()) return;
       try {
-        rows[i] = RunCampaignUnit(local, frame, configs[i], fault_list, 0,
-                                  fault_list.size(), unit_options);
+        rows[i] = RunCampaignUnit(local, frame, configs[i],
+                                  std::move(criteria[i]),
+                                  fault_list, 0, fault_list.size(),
+                                  unit_options);
       } catch (...) {
         errors[i] = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
@@ -408,17 +475,24 @@ CampaignResult RunCampaign(const DftCircuit& circuit,
 
   DftCircuit work = circuit.Clone();
   const CampaignFrame frame = BuildCampaignFrame(work, fault_list, options);
+  std::vector<std::optional<testability::DetectionCriteria>> criteria =
+      [&] {
+        util::trace::Span span("campaign.prepare");
+        return PrepareCampaignCriteria(work, frame, configs, options);
+      }();
   const std::size_t threads = util::ResolveThreadCount(options.threads);
   std::vector<ConfigResult> per_config;
   if (configs.size() >= threads) {
-    per_config = RunUnitsPerWorker(work, frame, fault_list, configs, options,
-                                   threads);
+    per_config = RunUnitsPerWorker(work, frame, fault_list, configs, criteria,
+                                   options, threads);
   } else {
     // Fewer units than threads: units run one after another and each
-    // parallelizes inside (envelope samples, frequency blocks, faults).
+    // parallelizes inside (frequency blocks, transient faults).
     per_config.reserve(configs.size());
-    for (const ConfigVector& cv : configs) {
-      per_config.push_back(RunCampaignUnit(work, frame, cv, fault_list, 0,
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      per_config.push_back(RunCampaignUnit(work, frame, configs[i],
+                                           std::move(criteria[i]),
+                                           fault_list, 0,
                                            fault_list.size(), options));
     }
   }

@@ -37,6 +37,8 @@ struct CampaignOptions {
   /// When set, a Monte-Carlo process-tolerance envelope is computed for
   /// every configuration (over the fault-site components) and added to the
   /// detection threshold — the realistic reading of the paper's epsilon.
+  /// AC campaigns compute every configuration's envelope in one shared pass
+  /// over the functional configuration (PrepareCampaignCriteria).
   /// criteria.envelope must then be empty (it is filled per configuration).
   std::optional<testability::ToleranceModel> tolerance;
 
@@ -69,19 +71,21 @@ struct CampaignOptions {
   spice::MnaOptions mna;
 
   /// Worker threads.  0 = MCDFT_THREADS env var, else the hardware thread
-  /// count; 1 = serial.  RunCampaign hands whole configuration units to the
-  /// workers when there are at least as many configurations as threads;
-  /// with fewer, units run in turn and parallelize inside (Monte-Carlo
-  /// envelope samples, frequency blocks, transient faults).  Results are
-  /// bit-identical for any value (every cell is a pure function of its
-  /// unit; static partitioning + ordered reductions inside a unit).
+  /// count; 1 = serial.  The shared envelope pass splits its Monte-Carlo
+  /// samples over the threads.  RunCampaign then hands whole configuration
+  /// units to the workers when there are at least as many configurations
+  /// as threads; with fewer, units run in turn and parallelize inside
+  /// (frequency blocks, transient faults).  Results are bit-identical for
+  /// any value (every cell is a pure function of its unit; static
+  /// partitioning + ordered reductions inside a unit).
   std::size_t threads = 0;
 
   /// Cooperative cancellation (non-owning; nullptr = never cancelled).
-  /// RunCampaignUnit polls the token at the start of every unit (one
-  /// configuration of RunCampaign, one shard unit of RunCampaignShard) and
-  /// aborts with util::CancelError when it fires — so a cancelled or
-  /// deadline-expired request stops computing within one unit per worker.
+  /// The shared envelope pass polls the token before every sample sweep,
+  /// and RunCampaignUnit at the start of every unit (one configuration of
+  /// RunCampaign, one shard unit of RunCampaignShard); either aborts with
+  /// util::CancelError when it fires — so a cancelled or deadline-expired
+  /// request stops computing within one sweep or unit per worker.
   /// Deliberately excluded from CampaignContentHash: cancellation
   /// truncates work, it never changes a completed campaign's bytes.
   const util::CancelToken* cancel = nullptr;
@@ -174,13 +178,16 @@ CampaignOptions MakePaperCampaignOptions();
 
 /// Run the campaign on `circuit` over `configs` (e.g. Space().All() or a
 /// pre-selected subset) and `fault_list`.  The circuit is cloned; the
-/// argument is untouched.  One AC sweep is run per (configuration, fault)
-/// pair plus one nominal sweep per configuration.  This is the 1-shard,
-/// no-checkpoint loop over RunCampaignUnit: one unit per configuration,
-/// spanning every fault — whole units per worker when there are at least
-/// as many configurations as threads (see CampaignOptions::threads).  A
-/// failing unit stops the claiming of further units, and the
-/// lowest-index failure is rethrown, as the serial loop would.
+/// argument is untouched.  Every configuration's criteria come first, from
+/// one shared envelope pass (PrepareCampaignCriteria, under the
+/// campaign.prepare span); then one AC sweep is run per (configuration,
+/// fault) pair plus one nominal sweep per configuration.  The units are the
+/// 1-shard, no-checkpoint loop over RunCampaignUnit: one unit per
+/// configuration, spanning every fault — whole units per worker when there
+/// are at least as many configurations as threads (see
+/// CampaignOptions::threads).  A failing unit stops the claiming of further
+/// units, and the lowest-index failure is rethrown, as the serial loop
+/// would.
 CampaignResult RunCampaign(const DftCircuit& circuit,
                            const std::vector<faults::Fault>& fault_list,
                            const std::vector<ConfigVector>& configs,
@@ -190,11 +197,14 @@ CampaignResult RunCampaign(const DftCircuit& circuit,
 //
 // The sharded executor must reproduce the monolithic campaign bit for bit,
 // so both loops run the same unit executor (RunCampaignUnit) over the
-// same frame: resolve the frame once, then prepare, simulate and score
-// each (configuration, fault range) unit independently.  Every piece is a
+// same frame: resolve the frame once, compute the criteria of the
+// configurations to run in one shared envelope pass
+// (PrepareCampaignCriteria), then prepare, simulate and score each
+// (configuration, fault range) unit independently.  Every piece is a
 // deterministic function of its arguments (Monte-Carlo envelopes use fixed
-// per-sample seed streams), so any partition of the work matrix
-// reassembles to identical numbers.
+// per-sample seed streams, and a configuration's envelope depends only on
+// its own follower set), so any partition of the work matrix reassembles
+// to identical numbers.
 
 /// The campaign-wide frame: reference band, sweep grid, output probe and
 /// the component sites the tolerance envelope perturbs (fault-list order).
@@ -224,9 +234,26 @@ struct PreparedConfig {
   testability::DetectionCriteria criteria;
 };
 
+/// The detection criteria of every configuration of `configs`, index-
+/// aligned: epsilon, plus for AC campaigns with a tolerance model the
+/// Monte-Carlo envelope, all from one shared pass over the functional
+/// configuration (testability::ComputeSharedToleranceEnvelopes).  An entry
+/// is nullopt where that configuration must take the per-configuration
+/// envelope sweep instead (the counted guard fallback); RunCampaignUnit
+/// and PrepareCampaignConfig then compute it.  Checks every
+/// configuration's width in index order first, so the lowest-index error
+/// is the one thrown.  Throws util::CancelError when options.cancel fires
+/// between sample sweeps.  `work` must be in the functional configuration.
+std::vector<std::optional<testability::DetectionCriteria>>
+PrepareCampaignCriteria(DftCircuit& work, const CampaignFrame& frame,
+                        const std::vector<ConfigVector>& configs,
+                        const CampaignOptions& options);
+
 /// Apply `cv` to the working circuit, compute its criteria and snapshot
-/// the configured netlist.  Independent per configuration: preparing any
-/// subset yields the same bytes as preparing all of them.
+/// the configured netlist.  The criteria are PrepareCampaignCriteria's on
+/// {cv} (with the fallback applied): the shared pass restricted to one
+/// configuration gives the bits the whole campaign's pass gives it, so
+/// preparing any subset yields the same bytes as preparing all of them.
 PreparedConfig PrepareCampaignConfig(DftCircuit& work,
                                      const CampaignFrame& frame,
                                      const ConfigVector& cv,
@@ -254,20 +281,22 @@ ConfigResult AssembleConfigRow(const ConfigVector& cv,
                                std::size_t fault_begin, std::size_t fault_end);
 
 /// The campaign-unit executor: configuration `cv` over fault indices
-/// [fault_begin, fault_end) of `fault_list`.  Polls the unit boundary (the
-/// `campaign.unit.stall` faultpoint, then options.cancel), prepares the
-/// configuration (PrepareCampaignConfig), simulates the unit's cells and
-/// scores them (AssembleConfigRow) under the spans campaign.prepare /
+/// [fault_begin, fault_end) of `fault_list`, with `criteria` from
+/// PrepareCampaignCriteria.  Polls the unit boundary (the
+/// `campaign.unit.stall` faultpoint, then options.cancel), snapshots the
+/// configured netlist (computing the per-configuration envelope when
+/// `criteria` is nullopt), simulates the unit's cells and scores them
+/// (AssembleConfigRow) under the spans campaign.prepare /
 /// campaign.simulate / campaign.assemble.  The simulate step is the one
 /// place the solve path is chosen: transient trajectories or the
 /// frequency-major SMW sweep (FaultSimulator::SimulateRange).  Returns the
 /// (partial) row; the unit's faulty responses are dropped before it
 /// returns.
-ConfigResult RunCampaignUnit(DftCircuit& work, const CampaignFrame& frame,
-                             const ConfigVector& cv,
-                             const std::vector<faults::Fault>& fault_list,
-                             std::size_t fault_begin, std::size_t fault_end,
-                             const CampaignOptions& options);
+ConfigResult RunCampaignUnit(
+    DftCircuit& work, const CampaignFrame& frame, const ConfigVector& cv,
+    std::optional<testability::DetectionCriteria> criteria,
+    const std::vector<faults::Fault>& fault_list, std::size_t fault_begin,
+    std::size_t fault_end, const CampaignOptions& options);
 
 /// Testability of the *unmodified* block (paper Sec. 2): analyze the fault
 /// list on the functional circuit only.  Returns the single-configuration

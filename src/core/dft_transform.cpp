@@ -71,13 +71,17 @@ DftCircuit DftCircuit::Transform(const AnalogBlock& block,
   return dft;
 }
 
-void DftCircuit::ApplyConfiguration(const ConfigVector& cv) {
+void DftCircuit::CheckConfiguration(const ConfigVector& cv) const {
   if (cv.BitCount() != configurable_.size()) {
     throw util::OptimizationError(
         "configuration vector has " + std::to_string(cv.BitCount()) +
         " bits but the circuit has " + std::to_string(configurable_.size()) +
         " configurable opamps");
   }
+}
+
+void DftCircuit::ApplyConfiguration(const ConfigVector& cv) {
+  CheckConfiguration(cv);
   for (std::size_t k = 0; k < configurable_.size(); ++k) {
     GetOpamp(netlist_, configurable_[k])
         .SetMode(cv.SelectionOf(k) ? spice::OpampMode::kFollower

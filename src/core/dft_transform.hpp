@@ -66,7 +66,12 @@ class DftCircuit {
   ConfigurationSpace Space() const { return ConfigurationSpace(configurable_); }
 
   /// Switch the circuit into a configuration (mutates opamp modes).
+  /// Throws OptimizationError when CheckConfiguration does.
   void ApplyConfiguration(const ConfigVector& cv);
+
+  /// Throw OptimizationError, naming both widths, unless `cv` has one bit
+  /// per configurable opamp.
+  void CheckConfiguration(const ConfigVector& cv) const;
 
   /// Current configuration.
   ConfigVector CurrentConfiguration() const;

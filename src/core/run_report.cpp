@@ -163,10 +163,11 @@ json::Value CampaignRunRecorder::Finish(const CampaignResult& campaign,
   enable_.reset();  // restore the pre-recorder enable state
 
   json::Value report = json::Value::Object();
-  // Schema /9: the always-zero `solver.mna` dense/uncached counters and the
-  // `solver.dc` group are gone.  (/8 dropped the batched fault-solve section
-  // and the engine-gate echoes; /7 added the request-lifecycle counters.)
-  report.Set("schema", json::Value::Str("mcdft.run_report/9"));
+  // Schema /10 adds the `envelope` counter group.  (/9 dropped the
+  // always-zero `solver.mna` dense/uncached counters and the `solver.dc`
+  // group; /8 the batched fault-solve section and the engine-gate echoes;
+  // /7 added the request-lifecycle counters.)
+  report.Set("schema", json::Value::Str("mcdft.run_report/10"));
   report.Set("tool", json::Value::Str(options.tool));
   if (!options.circuit.empty()) {
     report.Set("circuit", json::Value::Str(options.circuit));
@@ -204,6 +205,9 @@ json::Value CampaignRunRecorder::Finish(const CampaignResult& campaign,
   report.Set("solver", std::move(solver));
 
   report.Set("parallel", CounterGroup(delta, "util.parallel"));
+  // Schema /10: the Monte-Carlo envelope — sample sweeps run, configurations
+  // served by the shared pass, its tree pivots and its guard fallbacks.
+  report.Set("envelope", CounterGroup(delta, "testability.envelope"));
   report.Set("faults", CounterGroup(delta, "faults.sim"));
   // Schema /6: the adjoint sensitivity screen (cells skipped as clearly
   // detected/undetected, cells sent to the exact path as borderline, the

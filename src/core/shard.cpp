@@ -162,6 +162,12 @@ std::string CampaignContentHash(const DftCircuit& circuit,
       blob += "|screen=1|margin=";
       AppendExact(blob, faults::kScreenMargin);
     }
+    // Tolerance envelopes come from the shared pass over the functional
+    // configuration (PrepareCampaignCriteria), whose last bits differ from
+    // a per-configuration sweep's: checkpoints and cache records whose
+    // envelopes were swept per configuration must not resume or hit.
+    // Campaigns without an envelope keep their hash.
+    if (options.tolerance) blob += "|envelope=shared";
   } else {
     // Transient campaign fields are appended only when the analysis is
     // transient, so every AC campaign (and every existing checkpoint)
@@ -300,16 +306,36 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
   // still leaves a resumable (empty) checkpoint behind.
   write_checkpoint();
 
+  // The units this run computes, in order, and their criteria from one
+  // shared envelope pass over just their configurations (a configuration's
+  // criteria do not depend on which others share the pass).  A cancel
+  // during the pass or at a unit boundary (inside RunCampaignUnit) loses
+  // at most the work in flight: every completed unit is already durably
+  // checkpointed, so a later run resumes cleanly.
+  std::vector<std::size_t> todo;
   for (std::size_t k = 0; k < units.size(); ++k) {
     if (slots[k]) continue;
-    if (result.units_run >= shard_options.max_new_units) break;
+    if (todo.size() >= shard_options.max_new_units) break;
+    todo.push_back(k);
+  }
+  std::vector<std::optional<testability::DetectionCriteria>> criteria;
+  if (!todo.empty()) {
+    std::vector<ConfigVector> todo_configs;
+    todo_configs.reserve(todo.size());
+    for (const std::size_t k : todo) {
+      todo_configs.push_back(configs[units[k].config]);
+    }
+    util::trace::Span span("campaign.prepare");
+    criteria = PrepareCampaignCriteria(work, frame, todo_configs, options);
+  }
+  for (std::size_t t = 0; t < todo.size(); ++t) {
+    const std::size_t k = todo[t];
     const ShardUnit& unit = units[k];
-    // Every completed unit is already durably checkpointed, so a cancel
-    // polled at the next unit boundary (inside RunCampaignUnit) loses at
-    // most the unit in flight and a later run resumes cleanly.
     slots[k] = ShardUnitResult{
-        unit, RunCampaignUnit(work, frame, configs[unit.config], fault_list,
-                              unit.fault_begin, unit.fault_end, options)};
+        unit, RunCampaignUnit(work, frame, configs[unit.config],
+                              std::move(criteria[t]),
+                              fault_list, unit.fault_begin, unit.fault_end,
+                              options)};
     lines[k] = ShardUnitLine(*slots[k]);
     ++result.units_run;
     metrics::GetCounter("core.shard.units_run").Add();

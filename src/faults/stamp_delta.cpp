@@ -9,14 +9,9 @@
 
 namespace mcdft::faults {
 
-namespace {
-
 using linalg::Complex;
 
-/// Sum duplicate coordinates in-place and drop exact zeros (value-free
-/// stamp entries — e.g. a source's incidence pattern — cancel exactly
-/// between the nominal and faulty recordings).
-void Accumulate(std::vector<linalg::Triplet>& entries) {
+void AccumulateStampDelta(std::vector<linalg::Triplet>& entries) {
   std::sort(entries.begin(), entries.end(),
             [](const linalg::Triplet& a, const linalg::Triplet& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;
@@ -33,8 +28,6 @@ void Accumulate(std::vector<linalg::Triplet>& entries) {
   }
   entries.resize(out);
 }
-
-}  // namespace
 
 bool FaultStampDelta::Compute(const spice::MnaSystem& system,
                               spice::Element& element, std::size_t element_idx,
@@ -66,7 +59,7 @@ bool FaultStampDelta::Compute(const spice::MnaSystem& system,
     }
   }
 
-  Accumulate(entries);
+  AccumulateStampDelta(entries);
   std::size_t rank = 0;
   const auto finish = [&] {
     out.terms.resize(rank);

@@ -23,6 +23,12 @@
 
 namespace mcdft::faults {
 
+/// Sum the duplicate coordinates of recorded stamp entries in place (the
+/// result is sorted by row, then column) and drop exact zeros: value-free
+/// entries — e.g. a source's incidence pattern — cancel exactly between a
+/// weight -1 and a weight +1 recording.
+void AccumulateStampDelta(std::vector<linalg::Triplet>& entries);
+
 class FaultStampDelta {
  public:
   /// Drop tolerance of the rank factorization, relative to the largest

@@ -569,6 +569,16 @@ const MnaSolution& MnaSolveCache::SolveAcHz(const MnaSystem& sys, double hz) {
   return solution_;
 }
 
+void MnaSolveCache::SolveAgain(const linalg::Vector& rhs, linalg::Vector& x) {
+  static metrics::Counter& extra_solves =
+      metrics::GetCounter("spice.mna.extra_solve");
+  if (!lu_) {
+    throw util::AnalysisError("MnaSolveCache::SolveAgain before any solve");
+  }
+  extra_solves.Add();
+  lu_->Solve(rhs, x);
+}
+
 std::size_t MnaSystem::BranchUnknown(std::size_t element_idx,
                                      std::size_t k) const {
   const std::size_t base = branch_base_[element_idx];

@@ -274,6 +274,11 @@ class MnaSolveCache {
   /// in the cache and is overwritten by the next call.
   const MnaSolution& SolveAcHz(const MnaSystem& sys, double hz);
 
+  /// Solve the last SolveAcHz point's system for another right-hand side
+  /// with that point's factorization: x = A^-1 rhs (`x` resized, must not
+  /// alias `rhs`).  Throws AnalysisError before the first SolveAcHz.
+  void SolveAgain(const linalg::Vector& rhs, linalg::Vector& x);
+
   /// Diagnostics: how many solves went through the numeric-only refactor
   /// fast path vs. a full factorization (exposed for tests and benches).
   std::size_t RefactorCount() const { return refactor_count_; }

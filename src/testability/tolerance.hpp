@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "spice/ac_analysis.hpp"
+#include "util/cancel.hpp"
 
 namespace mcdft::testability {
 
@@ -50,5 +51,40 @@ std::vector<double> ComputeToleranceEnvelope(
     const spice::Probe& probe, const std::vector<std::string>& component_names,
     const ToleranceModel& model, double relative_floor,
     spice::MnaOptions mna_options = {}, std::size_t threads = 1);
+
+/// The opamps one configuration switches to follower mode: ascending
+/// positions into the `opamps` list of ComputeSharedToleranceEnvelopes.
+using FollowerSet = std::vector<std::size_t>;
+
+/// The envelopes of many configurations of one circuit from one
+/// Monte-Carlo pass over its functional configuration C0 (DESIGN.md
+/// "Shared configuration envelopes").  A follower switch rewrites exactly
+/// its opamp's branch row, so at each (sample, omega) one sparse
+/// factorization of C0 serves every configuration: C0's solution plus one
+/// column solve per switched opamp, and each configuration's output is then
+/// eliminated exactly along its path in the subset tree
+/// (linalg::SubsetSchurTree).
+///
+/// `netlist` must hold every opamp of `opamps` (configurable Opamp
+/// elements) in normal mode.  The samples, seeds, deviation arithmetic and
+/// `threads` contract are ComputeToleranceEnvelope's: work is split across
+/// threads by sample, never by frequency, and a configuration's envelope
+/// depends only on the inputs and its own follower set — not on which
+/// other sets are requested or on the thread count.  C0 (the empty set) is
+/// bit-identical to ComputeToleranceEnvelope on `netlist`.
+///
+/// Returns one entry per follower set: its envelope, or an empty vector
+/// when the set must take ComputeToleranceEnvelope on its configured
+/// netlist instead — a pivot on its path failed the tree's guard, or a
+/// value came out non-finite, at some (sample, omega), or the pass itself
+/// failed (e.g. C0 is singular at some point).  Polls `cancel` before each
+/// sweep and throws util::CancelError when it fired.
+std::vector<std::vector<double>> ComputeSharedToleranceEnvelopes(
+    const spice::Netlist& netlist, const spice::SweepSpec& sweep,
+    const spice::Probe& probe, const std::vector<std::string>& component_names,
+    const std::vector<std::string>& opamps,
+    const std::vector<FollowerSet>& follower_sets, const ToleranceModel& model,
+    double relative_floor, spice::MnaOptions mna_options = {},
+    std::size_t threads = 1, const util::CancelToken* cancel = nullptr);
 
 }  // namespace mcdft::testability

@@ -128,18 +128,19 @@ std::uint64_t ParallelSections(const DftCircuit& circuit,
   return sections.Value() - before;
 }
 
-TEST(WholeUnitScheduling, OneSectionWhenConfigurationsCoverTheThreads) {
+TEST(WholeUnitScheduling, OneUnitSectionWhenConfigurationsCoverTheThreads) {
   const DftCircuit circuit =
       DftCircuit::Transform(circuits::FindInZoo("biquad").build());
   const auto fault_list = faults::MakeDeviationFaults(circuit.Circuit());
   const auto configs = SmallConfigSet(circuit);
-  // At least as many configurations as threads: one section hands whole
-  // units to the workers, and every section inside a unit runs serially.
-  EXPECT_EQ(ParallelSections(circuit, fault_list, configs, 2), 1u);
+  // At least as many configurations as threads: the shared envelope pass
+  // opens one section over its samples, then one section hands whole units
+  // to the workers, and every section inside a unit runs serially.
+  EXPECT_EQ(ParallelSections(circuit, fault_list, configs, 2), 2u);
   EXPECT_EQ(ParallelSections(circuit, fault_list, configs, configs.size()),
-            1u);
-  // Fewer: units run in turn and parallelize inside (envelope samples,
-  // frequency blocks), so every unit opens sections of its own.
+            2u);
+  // Fewer: units run in turn and parallelize inside (frequency blocks),
+  // so every unit opens sections of its own.
   EXPECT_GT(ParallelSections(circuit, fault_list, configs, configs.size() + 1),
             configs.size());
 }

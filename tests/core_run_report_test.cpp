@@ -44,7 +44,7 @@ TEST_F(RunReport, CapturesSolverCountersPhasesAndCoverage) {
   options.threads = 2;
   const util::json::Value report = recorder.Finish(campaign, options);
 
-  EXPECT_EQ(report.Get("schema").AsString(), "mcdft.run_report/9");
+  EXPECT_EQ(report.Get("schema").AsString(), "mcdft.run_report/10");
   EXPECT_EQ(report.Get("circuit").AsString(), "biquad");
   EXPECT_GT(report.Get("timing").Get("wall_s").AsDouble(), 0.0);
   EXPECT_EQ(report.Get("threads").Get("resolved").AsDouble(), 2.0);
@@ -55,6 +55,15 @@ TEST_F(RunReport, CapturesSolverCountersPhasesAndCoverage) {
   EXPECT_GT(mna.Get("solve").AsDouble(), 0.0);
   // Schema /9: no `dc` group (no campaign runs a DC operating point).
   EXPECT_EQ(report.Get("solver").Find("dc"), nullptr);
+
+  // Schema /10: the envelope group.  The three configurations share one
+  // Monte-Carlo pass: its sample sweeps, the configurations it served and
+  // its subset-tree pivots (configurations 1 and 2 switch one opamp each).
+  const util::json::Value& envelope = report.Get("envelope");
+  EXPECT_EQ(envelope.Get("samples").AsDouble(), 4.0);
+  EXPECT_EQ(envelope.Get("shared_configs").AsDouble(), 3.0);
+  EXPECT_EQ(envelope.Get("guard_fallbacks").AsDouble(), 0.0);
+  EXPECT_GT(envelope.Get("tree_pivots").AsDouble(), 0.0);
 
   // Low-rank fault-solve statistics: with the default options every
   // (fault, frequency) pair goes through an SMW rank update (and its k-by-k
@@ -149,7 +158,7 @@ TEST_F(RunReport, ReportSerializesAndParsesBack) {
   WriteRunReport(report, path);
   const util::json::Value back = util::json::ParseFile(path);
   std::remove(path.c_str());
-  EXPECT_EQ(back.Get("schema").AsString(), "mcdft.run_report/9");
+  EXPECT_EQ(back.Get("schema").AsString(), "mcdft.run_report/10");
   EXPECT_DOUBLE_EQ(back.Get("campaign").Get("coverage").AsDouble(),
                    campaign.Coverage());
 }

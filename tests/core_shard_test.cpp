@@ -153,10 +153,10 @@ TEST_F(ShardContentHash, ScreenGateHashesOnOffAndMargin) {
 
   // The margin is the constant faults::kScreenMargin, and the solver
   // backend fields are gone; both still fold in as the bytes they always
-  // had, so checkpoints and cache records written when they were options
-  // keep their keys.  These pins are those older keys.
-  EXPECT_EQ(base, "6b0337026cbe622a");
-  EXPECT_EQ(unscreened, "e3bbb18541257b33");
+  // had.  These pins also carry the shared-envelope fold
+  // (`|envelope=shared`) of AC campaigns with a tolerance model.
+  EXPECT_EQ(base, "e0fe908d864c364c");
+  EXPECT_EQ(unscreened, "8e48430874074add");
 
   // Transient campaigns have no AC screen: the gate is not hashed there.
   CampaignOptions transient = options_;
@@ -165,6 +165,24 @@ TEST_F(ShardContentHash, ScreenGateHashesOnOffAndMargin) {
   CampaignOptions transient_noscreen = transient;
   transient_noscreen.mna.sensitivity_screen = false;
   EXPECT_EQ(Hash(transient), Hash(transient_noscreen));
+}
+
+TEST_F(ShardContentHash, EnvelopeFoldLeavesEnvelopeFreeHashesAlone) {
+  // Only AC campaigns with a tolerance model compute envelopes, so only
+  // they fold `|envelope=shared`: transient campaigns and AC campaigns
+  // without a tolerance model keep the keys they had before the fold (the
+  // pins are those older keys), and their checkpoints and cache records
+  // stay valid.
+  CampaignOptions transient = options_;
+  transient.analysis = CampaignAnalysis::kTransient;
+  transient.transient_steps = 24;
+  EXPECT_EQ(Hash(transient), "ea262fd47cf32310");
+
+  CampaignOptions no_tolerance = options_;
+  no_tolerance.tolerance.reset();
+  EXPECT_EQ(Hash(no_tolerance), "86ec95384d1e16c5");
+  no_tolerance.mna.sensitivity_screen = false;
+  EXPECT_EQ(Hash(no_tolerance), "88c6abab08c9ada4");
 }
 
 TEST_F(ShardContentHash, SensitiveToEveryNumberBearingInput) {

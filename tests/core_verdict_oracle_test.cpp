@@ -4,11 +4,13 @@
 // here is the plainest path the library has: testability::AnalyzeFaultList
 // over FaultSimulator::SimulateNominal / SimulateFault, one fail-fast
 // fault-major sweep per fault, every point assembled generically and
-// factored afresh (MnaSystem::Solve, dense LU on every zoo system).  Both
-// get the same configured netlist and detection criteria
-// (PrepareCampaignConfig), and every verdict-bearing output —
-// detectability, omega-detectability and the per-point masks — must be
-// equal on every zoo circuit and configuration.
+// factored afresh (MnaSystem::Solve, dense LU on every zoo system).  The
+// envelopes are independent too: the campaign's come from one shared pass
+// over the functional configuration (subset-tree elimination of the
+// follower rows), the oracle's from a per-configuration Monte-Carlo sweep
+// of the configured netlist (ComputeToleranceEnvelope).  Every
+// verdict-bearing output — detectability, omega-detectability and the
+// per-point masks — must be equal on every zoo circuit and configuration.
 //
 // The campaign runs with the sensitivity screen off.  The screen is not a
 // solve path but a skip in front of one, and it does NOT meet this bar:
@@ -60,12 +62,15 @@ TEST_F(VerdictOracle, CampaignMatchesDenseFaultMajorOnEveryZooCircuit) {
     DftCircuit work = circuit.Clone();
     const CampaignFrame frame = BuildCampaignFrame(work, fault_list, options);
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      const PreparedConfig prepared =
-          PrepareCampaignConfig(work, frame, configs[i], options);
-      const faults::FaultSimulator oracle(prepared.netlist, frame.sweep,
+      ScopedConfiguration configured(work, configs[i]);
+      testability::DetectionCriteria criteria = options.criteria;
+      criteria.envelope = testability::ComputeToleranceEnvelope(
+          work.Circuit(), frame.sweep, frame.probe, frame.tolerance_sites,
+          *options.tolerance, criteria.relative_floor);
+      const faults::FaultSimulator oracle(work.Circuit(), frame.sweep,
                                           frame.probe);
       const std::vector<testability::FaultDetectability> expected =
-          testability::AnalyzeFaultList(oracle, fault_list, prepared.criteria);
+          testability::AnalyzeFaultList(oracle, fault_list, criteria);
       const ConfigResult& row = campaign.PerConfig()[i];
       ASSERT_EQ(row.config, configs[i]) << entry.name;
       ASSERT_EQ(row.faults.size(), expected.size()) << entry.name;

@@ -199,7 +199,7 @@ TEST(ServerDaemon, SubmitColdThenWarmReturnsByteEqualReports) {
   ASSERT_FALSE(cold_report.empty());
   // The report member round-trips as the exact bytes of a run report.
   EXPECT_EQ(json::Parse(cold_report).Get("schema").AsString(),
-            "mcdft.run_report/9");
+            "mcdft.run_report/10");
 
   // Warm hit from a *different* connection: the cache is service-wide.
   std::unique_ptr<util::Conn> conn2 = util::ConnectUnix(socket_path);

@@ -211,7 +211,7 @@ TEST_F(ServerService, DaemonReportsCarryCacheAndServerCounterGroups) {
   const SubmitOutcome cold = service.Submit(SmallRequest("biquad"));
   ASSERT_TRUE(cold.ok) << cold.error;
   const util::json::Value report = util::json::Parse(cold.report_json);
-  EXPECT_EQ(report.Get("schema").AsString(), "mcdft.run_report/9");
+  EXPECT_EQ(report.Get("schema").AsString(), "mcdft.run_report/10");
   EXPECT_EQ(report.Get("tool").AsString(), "mcdftd");
   EXPECT_NE(report.Get("cache").Find("factor"), nullptr);
   EXPECT_NE(report.Find("server"), nullptr);

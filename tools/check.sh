@@ -51,7 +51,10 @@ FAULT_SPEC='checkpoint.write.short:0.05:1234,smw.solve:0.01:99'
 NIGHTLY_FAULT_SPEC='checkpoint.write.short:0.25:1234,checkpoint.write.fsync:0.10:4321,checkpoint.write.rename:0.10:2468,cache.write.short:0.25:1357,smw.solve:0.05:99'
 
 # Concurrency-sensitive subset: parallel campaigns, the Monte-Carlo
-# envelope, the pool, solver reuse, the frequency-major low-rank fault
+# envelope (ToleranceEnvelope* also covers the shared envelope pass: its
+# per-sample worker slots and their reduction after the join, at thread
+# counts 1-4, in shard merges and under a mid-pass cancel), the pool,
+# solver reuse, the frequency-major low-rank fault
 # solves (including the adjoint sensitivity screen and its shard merges),
 # the shard path through the shared campaign-unit executor (AC and
 # transient shard merges, and the poisoned shard contract on every solve
