@@ -16,6 +16,8 @@
 #include "circuits/cascade.hpp"
 #include "circuits/zoo.hpp"
 #include "core/campaign.hpp"
+#include "core/optimizer.hpp"
+#include "core/server/request.hpp"
 #include "faults/injector.hpp"
 #include "faults/sensitivity_screen.hpp"
 #include "faults/stamp_delta.hpp"
@@ -448,6 +450,29 @@ void BM_PetrickExpansion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PetrickExpansion)->Arg(7)->Arg(12)->Arg(16);
+
+// The Sec. 4 optimizer on the paper-seed cascade6 campaign at the CLI
+// defaults (up to 2 followers, 46 configurations, 2 577 minimal covers),
+// built once: the fundamental solution, the configuration-count selection
+// and the partial-DFT selection, as `mcdft optimize` runs them.
+void BM_OptimizeCascade6(benchmark::State& state) {
+  core::server::CampaignRequest request;
+  request.circuit = "cascade6";
+  const core::server::CampaignJob job =
+      core::server::BuildCampaignJob(request);
+  const core::CampaignResult campaign = core::RunCampaign(
+      job.circuit, job.fault_list, job.configs, job.options);
+  const core::DftOptimizer optimizer(job.circuit, campaign);
+  std::size_t covers = 0;
+  for (auto _ : state) {
+    const core::FundamentalSolution fundamental = optimizer.SolveFundamental();
+    covers = fundamental.minimal_covers.size();
+    benchmark::DoNotOptimize(optimizer.OptimizeConfigurationCount());
+    benchmark::DoNotOptimize(optimizer.OptimizePartialDft());
+  }
+  state.counters["minimal_covers"] = static_cast<double>(covers);
+}
+BENCHMARK(BM_OptimizeCascade6)->Unit(benchmark::kMillisecond);
 
 void BM_ExactSetCover(benchmark::State& state) {
   auto p = RandomCover(static_cast<std::size_t>(state.range(0)),

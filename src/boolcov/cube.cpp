@@ -1,5 +1,6 @@
 #include "boolcov/cube.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace mcdft::boolcov {
@@ -79,8 +80,11 @@ bool Cube::SubsetOf(const Cube& other) const {
 
 std::vector<std::size_t> Cube::Variables() const {
   std::vector<std::size_t> vars;
-  for (std::size_t v = 0; v < nvars_; ++v) {
-    if ((bits_[v / 64] >> (v % 64)) & 1u) vars.push_back(v);
+  vars.reserve(LiteralCount());
+  for (std::size_t i = 0; i < bits_.size(); ++i) {
+    for (std::uint64_t limb = bits_[i]; limb != 0; limb &= limb - 1) {
+      vars.push_back(64 * i + static_cast<std::size_t>(std::countr_zero(limb)));
+    }
   }
   return vars;
 }
@@ -101,8 +105,20 @@ bool Cube::OrderBySize(const Cube& a, const Cube& b) {
   const std::size_t la = a.LiteralCount();
   const std::size_t lb = b.LiteralCount();
   if (la != lb) return la < lb;
-  // Lexicographic on variable indices (lowest set variable first).
-  return a.Variables() < b.Variables();
+  // Equal sizes: lexicographic on the ascending variable lists.  Below the
+  // lowest differing bit both lists agree, and the cube holding that bit
+  // lists it where the other lists a larger index, so it sorts first.
+  const std::size_t limbs = std::max(a.bits_.size(), b.bits_.size());
+  for (std::size_t i = 0; i < limbs; ++i) {
+    const std::uint64_t wa = i < a.bits_.size() ? a.bits_[i] : 0;
+    const std::uint64_t wb = i < b.bits_.size() ? b.bits_[i] : 0;
+    const std::uint64_t diff = wa ^ wb;
+    if (diff != 0) {
+      const std::uint64_t lowest = diff & (~diff + 1);
+      return (wa & lowest) != 0;
+    }
+  }
+  return false;
 }
 
 std::size_t Cube::Hash::operator()(const Cube& c) const {

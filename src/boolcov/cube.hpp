@@ -53,7 +53,9 @@ class Cube {
   bool operator==(const Cube& other) const = default;
 
   /// Strict weak order: fewer literals first, then lexicographic on the
-  /// bit pattern (deterministic result ordering for the optimizer).
+  /// ascending variable lists, i.e. the cube holding the lowest variable
+  /// in which the two differ sorts first (deterministic result ordering
+  /// for the optimizer).  Allocation-free.
   static bool OrderBySize(const Cube& a, const Cube& b);
 
   /// Hash for unordered containers.

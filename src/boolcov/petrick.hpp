@@ -1,6 +1,6 @@
 // Petrick's method: expand a product-of-sums covering expression into the
-// sum-of-products of its irredundant solutions, with on-the-fly absorption
-// (x + x.y = x) to keep the intermediate SOP minimal.
+// sum-of-products of its irredundant solutions, with absorption (x + x.y = x)
+// applied clause by clause so the intermediate SOP stays minimal.
 #pragma once
 
 #include "boolcov/pos.hpp"
@@ -11,7 +11,9 @@ namespace mcdft::boolcov {
 /// an OptimizationError instead of letting a pathological matrix take the
 /// process down (the caller can fall back to setcover.hpp heuristics).
 struct PetrickOptions {
-  std::size_t max_products = 200000;  ///< abort above this many live terms
+  /// Abort as soon as the minimal products of the clauses expanded so far
+  /// outnumber this (the raw expansion: its live products).
+  std::size_t max_products = 200000;
 };
 
 /// All irredundant product terms satisfying the POS expression, sorted by

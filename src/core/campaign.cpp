@@ -54,6 +54,13 @@ CampaignResult::CampaignResult(std::vector<faults::Fault> fault_list,
     if (cr.faults.size() != faults_.size()) {
       throw util::AnalysisError("campaign configuration rows are ragged");
     }
+    for (std::size_t j = 0; j < faults_.size(); ++j) {
+      if (!(cr.faults[j].fault == faults_[j])) {
+        throw util::AnalysisError("campaign row " + cr.config.Name() +
+                                  " does not list the faults in campaign "
+                                  "order");
+      }
+    }
   }
   row_of_.reserve(per_config_.size());
   for (std::size_t i = 0; i < per_config_.size(); ++i) {
@@ -83,30 +90,71 @@ std::vector<std::vector<double>> CampaignResult::OmegaTable() const {
   return m;
 }
 
-std::vector<testability::FaultDetectability> CampaignResult::BestCase(
-    const std::vector<std::size_t>& rows) const {
-  std::vector<std::vector<testability::FaultDetectability>> lists;
-  if (rows.empty()) {
-    for (const auto& cr : per_config_) lists.push_back(cr.faults);
-  } else {
-    for (std::size_t r : rows) {
-      if (r >= per_config_.size()) {
-        throw util::OptimizationError("campaign row " + std::to_string(r) +
-                                      " out of range");
-      }
-      lists.push_back(per_config_[r].faults);
+namespace {
+
+/// Calls `visit` with each fault's best-case entry over `rows` (empty = all
+/// rows), in fault order: the first listed row with the strictly highest
+/// omega-detectability, BestCasePerFault's rule, read in place.
+template <typename Visit>
+void ForEachBestCase(const std::vector<ConfigResult>& per_config,
+                     std::size_t fault_count,
+                     const std::vector<std::size_t>& rows, Visit&& visit) {
+  for (std::size_t r : rows) {
+    if (r >= per_config.size()) {
+      throw util::OptimizationError("campaign row " + std::to_string(r) +
+                                    " out of range");
     }
   }
-  return testability::BestCasePerFault(lists);
+  const std::size_t n = rows.empty() ? per_config.size() : rows.size();
+  const auto row = [&](std::size_t i) -> const ConfigResult& {
+    return per_config[rows.empty() ? i : rows[i]];
+  };
+  for (std::size_t j = 0; j < fault_count; ++j) {
+    const testability::FaultDetectability* best = &row(0).faults[j];
+    for (std::size_t i = 1; i < n; ++i) {
+      const testability::FaultDetectability& d = row(i).faults[j];
+      if (d.omega_detectability > best->omega_detectability) best = &d;
+    }
+    visit(*best);
+  }
+}
+
+}  // namespace
+
+std::vector<testability::FaultDetectability> CampaignResult::BestCase(
+    const std::vector<std::size_t>& rows) const {
+  std::vector<testability::FaultDetectability> best;
+  best.reserve(faults_.size());
+  ForEachBestCase(per_config_, faults_.size(), rows,
+                  [&](const testability::FaultDetectability& d) {
+                    best.push_back(d);
+                  });
+  return best;
 }
 
 double CampaignResult::Coverage(const std::vector<std::size_t>& rows) const {
-  return testability::FaultCoverage(BestCase(rows));
+  std::size_t detected = 0;
+  ForEachBestCase(per_config_, faults_.size(), rows,
+                  [&](const testability::FaultDetectability& d) {
+                    if (d.detectable) ++detected;
+                  });
+  if (faults_.empty()) {
+    throw util::AnalysisError("fault coverage of an empty fault list");
+  }
+  return static_cast<double>(detected) / static_cast<double>(faults_.size());
 }
 
 double CampaignResult::AverageOmegaDet(
     const std::vector<std::size_t>& rows) const {
-  return testability::AverageOmegaDetectability(BestCase(rows));
+  double acc = 0.0;
+  ForEachBestCase(per_config_, faults_.size(), rows,
+                  [&](const testability::FaultDetectability& d) {
+                    acc += d.omega_detectability;
+                  });
+  if (faults_.empty()) {
+    throw util::AnalysisError("omega-detectability of an empty fault list");
+  }
+  return acc / static_cast<double>(faults_.size());
 }
 
 std::size_t CampaignResult::QuarantinedCellCount() const {

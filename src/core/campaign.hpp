@@ -120,6 +120,9 @@ struct ConfigResult {
 /// Full campaign result: everything Sections 3-4 need.
 class CampaignResult {
  public:
+  /// Throws AnalysisError when there are no rows, or when a row does not
+  /// list exactly `fault_list`, in order (checked once, here, so the
+  /// best-case queries below can compare rows cell by cell).
   CampaignResult(std::vector<faults::Fault> fault_list,
                  std::vector<ConfigResult> per_config,
                  testability::ReferenceBand band);
@@ -141,13 +144,19 @@ class CampaignResult {
   /// Best-case (per-fault max) verdicts over a subset of configuration rows
   /// (empty = all rows): the "a fault is tested in its best configuration"
   /// rule behind Graph 2 and the <w-det> of a chosen configuration set.
+  /// Each fault keeps the entry of the first listed row with the strictly
+  /// highest omega-detectability (testability::BestCasePerFault's rule).
+  /// Throws OptimizationError on a row out of range.
   std::vector<testability::FaultDetectability> BestCase(
       const std::vector<std::size_t>& rows = {}) const;
 
-  /// Fault coverage achieved using a subset of rows (empty = all).
+  /// Fault coverage achieved using a subset of rows (empty = all): the
+  /// share of faults whose BestCase entry is detectable.  Reads the rows in
+  /// place (no entry is copied), as does AverageOmegaDet.
   double Coverage(const std::vector<std::size_t>& rows = {}) const;
 
-  /// Average omega-detectability using a subset of rows (empty = all).
+  /// Average omega-detectability using a subset of rows (empty = all): the
+  /// BestCase entries' omega summed in fault order, then divided.
   double AverageOmegaDet(const std::vector<std::size_t>& rows = {}) const;
 
   /// Row index of a configuration in this campaign; throws

@@ -1,5 +1,7 @@
 #include "core/cost_functions.hpp"
 
+#include <cmath>
+
 namespace mcdft::core {
 
 double ConfigCountCost::Cost(const boolcov::Cube& rows, const CampaignResult&,
@@ -67,6 +69,10 @@ double SiliconAreaCost::Cost(const boolcov::Cube& rows,
 
 void CompositeCost::Add(std::shared_ptr<const CostFunction> f, double weight) {
   if (!f) throw util::OptimizationError("null cost function component");
+  if (!std::isfinite(weight)) {
+    throw util::OptimizationError("cost weight for '" + f->Name() +
+                                  "' is not finite");
+  }
   parts_.emplace_back(std::move(f), weight);
 }
 

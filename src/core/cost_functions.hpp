@@ -87,6 +87,7 @@ class SiliconAreaCost final : public CostFunction {
 /// Weighted sum of other cost functions (multi-objective trade-offs).
 class CompositeCost final : public CostFunction {
  public:
+  /// Throws OptimizationError on a null component or a non-finite weight.
   void Add(std::shared_ptr<const CostFunction> f, double weight);
   std::string Name() const override;
   double Cost(const boolcov::Cube& rows, const CampaignResult& campaign,

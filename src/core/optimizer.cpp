@@ -70,11 +70,12 @@ FundamentalSolution DftOptimizer::SolveFundamental(
 
 ScoredSet DftOptimizer::Score(const boolcov::Cube& rows) const {
   ScoredSet s{rows, {}, std::numeric_limits<double>::quiet_NaN(), 0.0, 0.0};
-  for (std::size_t r : rows.Variables()) {
+  const std::vector<std::size_t> vars = rows.Variables();
+  for (std::size_t r : vars) {
     s.configs.push_back(campaign_.PerConfig()[r].config);
   }
-  s.avg_omega_det = campaign_.AverageOmegaDet(rows.Variables());
-  s.coverage = campaign_.Coverage(rows.Variables());
+  s.avg_omega_det = campaign_.AverageOmegaDet(vars);
+  s.coverage = campaign_.Coverage(vars);
   return s;
 }
 
@@ -97,7 +98,13 @@ SelectionResult DftOptimizer::Optimize(
   double best_cost = std::numeric_limits<double>::infinity();
   for (const auto& cover : fundamental.minimal_covers) {
     result.all_minimal.push_back(ScoreWithCost(cover, cost));
-    best_cost = std::min(best_cost, result.all_minimal.back().cost);
+    const double c = result.all_minimal.back().cost;
+    if (std::isnan(c)) {
+      // A NaN compares false both ways: it could neither win nor tie.
+      throw util::OptimizationError("cost '" + cost.Name() +
+                                    "' is NaN for a minimal cover");
+    }
+    best_cost = std::min(best_cost, c);
   }
   for (const auto& s : result.all_minimal) {
     if (s.cost == best_cost) result.tied.push_back(s);

@@ -102,6 +102,7 @@ class DftOptimizer {
       const boolcov::PetrickOptions& options = {}) const;
 
   /// Generic 2nd-order + 3rd-order selection over the minimal covers.
+  /// Throws OptimizationError naming the cost when a cover's cost is NaN.
   SelectionResult Optimize(const CostFunction& cost,
                            const boolcov::PetrickOptions& options = {}) const;
 

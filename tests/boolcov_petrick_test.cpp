@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 
 namespace mcdft::boolcov {
@@ -110,6 +112,111 @@ TEST(Petrick, AbsorbedResultIsIrredundant) {
       if (i != j) EXPECT_FALSE(sop[i].SubsetOf(sop[j]));
     }
   }
+}
+
+/// Independent oracle: every minimal hitting set of `clauses` (bit masks
+/// over `nvars` <= 16 variables), by exhaustive enumeration, sorted by size
+/// and then lexicographically on the ascending variable lists.
+std::vector<std::vector<std::size_t>> BruteForceMinimalCovers(
+    std::size_t nvars, const std::vector<std::uint32_t>& clauses) {
+  const auto hits_all = [&](std::uint32_t set) {
+    for (std::uint32_t c : clauses) {
+      if ((set & c) == 0) return false;
+    }
+    return true;
+  };
+  std::vector<std::vector<std::size_t>> minimal;
+  for (std::uint32_t set = 0; set < (1u << nvars); ++set) {
+    if (!hits_all(set)) continue;
+    // Hitting sets are closed upwards, so a set is minimal exactly when
+    // dropping any one of its variables loses a clause.
+    bool is_minimal = true;
+    for (std::size_t v = 0; v < nvars && is_minimal; ++v) {
+      if ((set >> v) & 1u) is_minimal = !hits_all(set & ~(1u << v));
+    }
+    if (!is_minimal) continue;
+    std::vector<std::size_t> vars;
+    for (std::size_t v = 0; v < nvars; ++v) {
+      if ((set >> v) & 1u) vars.push_back(v);
+    }
+    minimal.push_back(std::move(vars));
+  }
+  std::sort(minimal.begin(), minimal.end(),
+            [](const auto& a, const auto& b) {
+              if (a.size() != b.size()) return a.size() < b.size();
+              return a < b;
+            });
+  return minimal;
+}
+
+TEST(Petrick, MinimalProductsMatchBruteForce) {
+  std::mt19937_64 rng(20261019);
+  for (int trial = 0; trial < 240; ++trial) {
+    const std::size_t nvars = 1 + rng() % 14;
+    const std::size_t nclauses = 1 + rng() % 10;
+    const std::uint32_t all = (1u << nvars) - 1;
+    std::vector<std::uint32_t> masks;
+    CoverProblem p(nvars);
+    while (masks.size() < nclauses) {
+      std::uint32_t mask = 0;
+      const std::uint64_t kind = rng() % 4;
+      if (kind == 0 && !masks.empty()) {
+        mask = masks[rng() % masks.size()];  // repeated clause
+      } else if (kind == 1 && !masks.empty()) {
+        // Nested clause: a subset or a superset of an earlier one.
+        const std::uint32_t base = masks[rng() % masks.size()];
+        const std::uint32_t noise = static_cast<std::uint32_t>(rng()) & all;
+        mask = (rng() % 2 == 0) ? (base & noise) : (base | noise);
+      } else {
+        // Random clause; density varies so both sparse and dense occur.
+        const std::uint64_t density = 2 + rng() % 5;
+        for (std::size_t v = 0; v < nvars; ++v) {
+          if (rng() % density == 0) mask |= 1u << v;
+        }
+      }
+      if (mask == 0) continue;
+      masks.push_back(mask);
+      Cube lits(nvars);
+      for (std::size_t v = 0; v < nvars; ++v) {
+        if ((mask >> v) & 1u) lits.Set(v);
+      }
+      p.AddClause({lits, "c" + std::to_string(masks.size())});
+    }
+    const auto expected = BruteForceMinimalCovers(nvars, masks);
+    const auto sop = PetrickMinimalProducts(p);
+    ASSERT_EQ(sop.size(), expected.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < sop.size(); ++i) {
+      ASSERT_EQ(sop[i].Variables(), expected[i])
+          << "trial " << trial << ", product " << i;
+    }
+  }
+}
+
+TEST(Petrick, MinimalExpansionCapCountsAClausesMinimalSet) {
+  // Ten disjoint two-literal clauses: 2^10 = 1024 minimal products, none
+  // absorbed, so the last clause's minimal set is the whole answer.
+  CoverProblem p(20);
+  for (std::size_t i = 0; i < 10; ++i) {
+    p.AddClause({Cube(20, {2 * i, 2 * i + 1}), "c" + std::to_string(i)});
+  }
+  PetrickOptions tight;
+  tight.max_products = 1023;
+  try {
+    PetrickMinimalProducts(p, tight);
+    FAIL() << "expected the product cap to trip";
+  } catch (const util::OptimizationError& e) {
+    EXPECT_STREQ(e.what(),
+                 "optimization: Petrick expansion exceeded 1023 products; "
+                 "use the set-cover heuristics instead");
+  }
+  tight.max_products = 1024;
+  const auto sop = PetrickMinimalProducts(p, tight);
+  ASSERT_EQ(sop.size(), 1024u);
+  for (const auto& term : sop) EXPECT_EQ(term.LiteralCount(), 10u);
+  EXPECT_EQ(sop.front().Variables(),
+            (std::vector<std::size_t>{0, 2, 4, 6, 8, 10, 12, 14, 16, 18}));
+  EXPECT_EQ(sop.back().Variables(),
+            (std::vector<std::size_t>{1, 3, 5, 7, 9, 11, 13, 15, 17, 19}));
 }
 
 class PetrickPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "circuits/biquad.hpp"
+#include "circuits/zoo.hpp"
+#include "core/optimizer.hpp"
+#include "core/server/request.hpp"
 #include "paper_fixture.hpp"
+#include "testability/metrics.hpp"
 
 namespace mcdft::core {
 namespace {
@@ -194,6 +201,109 @@ TEST(Campaign, RaggedRowsRejected) {
   std::vector<ConfigResult> rows;
   ConfigResult row{ConfigVector::FromIndex(0, 3), {}};
   rows.push_back(row);  // empty fault list vs 8 faults
+  EXPECT_THROW(CampaignResult(faults, std::move(rows),
+                              testability::ReferenceBand(10.0, 1e5, 25)),
+               util::AnalysisError);
+}
+
+/// Coverage and <w-det> of `rows` (empty = all) scored from copies: the
+/// listed rows' entries combined by testability::BestCasePerFault.
+std::pair<double, double> CopiedRowScores(
+    const CampaignResult& campaign, const std::vector<std::size_t>& rows) {
+  std::vector<std::vector<testability::FaultDetectability>> lists;
+  if (rows.empty()) {
+    for (const auto& cr : campaign.PerConfig()) lists.push_back(cr.faults);
+  } else {
+    for (std::size_t r : rows) lists.push_back(campaign.PerConfig()[r].faults);
+  }
+  const auto best = testability::BestCasePerFault(lists);
+  return {testability::FaultCoverage(best),
+          testability::AverageOmegaDetectability(best)};
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(CampaignScoring, InPlaceMatchesBestCasePerFault) {
+  std::mt19937_64 rng(2718);
+  for (const auto& entry : circuits::Zoo()) {
+    server::CampaignRequest request;
+    request.circuit = entry.name;
+    const server::CampaignJob job = server::BuildCampaignJob(request);
+    const CampaignResult campaign =
+        RunCampaign(job.circuit, job.fault_list, job.configs, job.options);
+    // Every minimal cover, all rows, and random lists with repeats.
+    std::vector<std::vector<std::size_t>> lists{{}};
+    for (const auto& cover :
+         DftOptimizer(job.circuit, campaign).SolveFundamental().minimal_covers) {
+      lists.push_back(cover.Variables());
+    }
+    for (int k = 0; k < 200; ++k) {
+      std::vector<std::size_t> rows(1 + rng() % 8);
+      for (auto& r : rows) r = rng() % campaign.ConfigCount();
+      if (k % 2 == 0) rows.push_back(rows[rng() % rows.size()]);
+      lists.push_back(std::move(rows));
+    }
+    for (const auto& rows : lists) {
+      const auto [coverage, wdet] = CopiedRowScores(campaign, rows);
+      ASSERT_TRUE(SameBits(campaign.Coverage(rows), coverage))
+          << entry.name << ": " << ::testing::PrintToString(rows);
+      ASSERT_TRUE(SameBits(campaign.AverageOmegaDet(rows), wdet))
+          << entry.name << ": " << ::testing::PrintToString(rows);
+    }
+  }
+}
+
+TEST(CampaignScoring, ExactOmegaTiesKeepTheFirstListedRow) {
+  // Three rows tie exactly on every fault's omega; only row 1 is marked
+  // detectable and each row has its own peak frequency, so the winner shows.
+  const auto faults = testdata::PaperFaults();
+  std::vector<ConfigResult> rows;
+  for (std::size_t r = 0; r < 3; ++r) {
+    ConfigResult row{ConfigVector::FromIndex(r, 3), {}, {}, {}};
+    for (const auto& f : faults) {
+      testability::FaultDetectability d{f};
+      d.detectable = r == 1;
+      d.omega_detectability = 0.5;
+      d.peak_frequency_hz = 100.0 * static_cast<double>(r + 1);
+      row.faults.push_back(std::move(d));
+    }
+    rows.push_back(std::move(row));
+  }
+  const CampaignResult campaign(faults, std::move(rows),
+                                testability::ReferenceBand(10.0, 1e5, 25));
+  for (const auto& d : campaign.BestCase({2, 1, 0})) {
+    EXPECT_EQ(d.peak_frequency_hz, 300.0);
+  }
+  EXPECT_EQ(campaign.Coverage({0, 1}), 0.0);
+  EXPECT_EQ(campaign.Coverage({1, 0}), 1.0);
+  EXPECT_EQ(campaign.Coverage(), 0.0);  // all rows: row 0 is listed first
+  EXPECT_EQ(campaign.AverageOmegaDet({2, 0}), 0.5);
+  for (const std::vector<std::size_t>& list :
+       {std::vector<std::size_t>{}, {0, 1}, {1, 0}, {2, 1, 1, 0}}) {
+    const auto [coverage, wdet] = CopiedRowScores(campaign, list);
+    EXPECT_TRUE(SameBits(campaign.Coverage(list), coverage));
+    EXPECT_TRUE(SameBits(campaign.AverageOmegaDet(list), wdet));
+  }
+}
+
+TEST(CampaignScoring, RowOutOfRangeThrows) {
+  const auto campaign = testdata::PaperCampaign();
+  EXPECT_THROW(campaign.Coverage({99}), util::OptimizationError);
+  EXPECT_THROW(campaign.AverageOmegaDet({0, 99}), util::OptimizationError);
+  EXPECT_THROW(campaign.BestCase({7}), util::OptimizationError);
+}
+
+TEST(CampaignScoring, FaultOrderCheckedAtConstruction) {
+  const auto faults = testdata::PaperFaults();
+  std::vector<ConfigResult> rows;
+  for (std::size_t r = 0; r < 2; ++r) {
+    ConfigResult row{ConfigVector::FromIndex(r, 3), {}, {}, {}};
+    for (const auto& f : faults) row.faults.emplace_back(f);
+    rows.push_back(std::move(row));
+  }
+  std::swap(rows[1].faults[0], rows[1].faults[1]);
   EXPECT_THROW(CampaignResult(faults, std::move(rows),
                               testability::ReferenceBand(10.0, 1e5, 25)),
                util::AnalysisError);

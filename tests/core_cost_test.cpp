@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/optimizer.hpp"
 #include "paper_fixture.hpp"
 
@@ -89,6 +92,41 @@ TEST_F(CostFunctionTest, CompositeChangesOptimizerChoice) {
   composite.Add(std::make_shared<OpampCountCost>(), 100.0);
   auto sel = optimizer.Optimize(composite);
   EXPECT_EQ(sel.selected.rows, boolcov::Cube(7, {1, 2}));
+}
+
+TEST_F(CostFunctionTest, CompositeRejectsNonFiniteWeights) {
+  CompositeCost composite;
+  const auto count = std::make_shared<ConfigCountCost>();
+  EXPECT_THROW(composite.Add(count, std::nan("")), util::OptimizationError);
+  EXPECT_THROW(composite.Add(count, std::numeric_limits<double>::infinity()),
+               util::OptimizationError);
+  EXPECT_THROW(composite.Add(count, -std::numeric_limits<double>::infinity()),
+               util::OptimizationError);
+  composite.Add(count, 0.0);
+  EXPECT_EQ(composite.Cost(boolcov::Cube(7, {2, 5}), campaign_, circuit_),
+            0.0);
+}
+
+/// A cost function that cannot price some configuration sets.
+class NanCost final : public CostFunction {
+ public:
+  std::string Name() const override { return "unpriceable"; }
+  double Cost(const boolcov::Cube& rows, const CampaignResult&,
+              const DftCircuit&) const override {
+    return rows.Test(5) ? std::nan("") : 1.0;
+  }
+};
+
+TEST_F(CostFunctionTest, NanCostThrowsNamingTheCost) {
+  // {C1,C2} is priced but {C2,C5} is NaN: no ordering can rank it.
+  DftOptimizer optimizer(circuit_, campaign_);
+  try {
+    optimizer.Optimize(NanCost{});
+    FAIL() << "expected a NaN cost to be rejected";
+  } catch (const util::OptimizationError& e) {
+    EXPECT_NE(std::string(e.what()).find("unpriceable"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

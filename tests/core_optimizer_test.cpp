@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "circuits/zoo.hpp"
+#include "core/report.hpp"
+#include "core/server/request.hpp"
+#include "core/shard.hpp"
 #include "paper_fixture.hpp"
+#include "util/faultpoint.hpp"
 
 namespace mcdft::core {
 namespace {
@@ -162,6 +169,44 @@ TEST(OptimizerEdgeCases, CampaignRowLookup) {
   EXPECT_EQ(campaign.RowOf(ConfigVector::FromIndex(5, 3)), 5u);
   EXPECT_THROW(campaign.RowOf(ConfigVector::FromIndex(7, 3)),
                util::OptimizationError);
+}
+
+// The optimizer's printed output on every zoo circuit at the CLI defaults
+// (`mcdft optimize --circuit NAME`, plus the exact cover's row set), pinned
+// by FNV-1a 64 digest: a change to the covering engine, the best-case
+// scoring or the cube order that moves one byte fails here.  The campaigns
+// must be undisturbed, so the suite opts out of any armed MCDFT_FAULTPOINTS
+// spec.
+class OptimizerOutput : public ::testing::Test {
+ protected:
+  void SetUp() override { util::faultpoint::DisarmAll(); }
+  void TearDown() override { util::faultpoint::DisarmAll(); }
+};
+
+TEST_F(OptimizerOutput, ZooRenderingsArePinned) {
+  const std::map<std::string, std::string> pins = {
+      {"biquad", "c34fbd621d1e674e"},    {"khn", "a71d572e7cdd5b80"},
+      {"ackerberg", "e7eef18172b1abbc"}, {"sallenkey", "7aeef21293df72a8"},
+      {"inamp", "b92db5884b804b68"},     {"notch", "0446360db657bd72"},
+      {"leapfrog", "900d575e2219b0cc"},  {"cascade6", "f238fec731d1d555"},
+  };
+  for (const auto& entry : circuits::Zoo()) {
+    server::CampaignRequest request;
+    request.circuit = entry.name;
+    const server::CampaignJob job = server::BuildCampaignJob(request);
+    const CampaignResult campaign =
+        RunCampaign(job.circuit, job.fault_list, job.configs, job.options);
+    const DftOptimizer optimizer(job.circuit, campaign);
+    std::string text =
+        RenderFundamental(optimizer.SolveFundamental(), campaign);
+    text += RenderSelection(optimizer.OptimizeConfigurationCount(), campaign);
+    text += RenderPartialDft(optimizer.OptimizePartialDft(), campaign,
+                             job.circuit);
+    text += RowSetName(campaign,
+                       optimizer.OptimizeConfigurationCountExact().rows);
+    ASSERT_EQ(pins.count(entry.name), 1u) << entry.name;
+    EXPECT_EQ(Fnv1a64Hex(text), pins.at(entry.name)) << entry.name;
+  }
 }
 
 }  // namespace
