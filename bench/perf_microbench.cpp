@@ -425,6 +425,36 @@ void BM_FaultSolveRefactor(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSolveRefactor)->Arg(0)->Arg(1)->Arg(2);
 
+// --- Transient trajectory --------------------------------------------
+//
+// One transient campaign cell on cascade6: FaultSimulator::
+// SimulateTransientRange over one catastrophic fault at 1 thread, in the
+// full-space configuration above, on the window and 256-step grid
+// `mcdft analyze --analysis transient` resolves.  Each iteration marches
+// the nominal and the faulty trajectory, each a stepper (assembly), one
+// sparse factorization and 256 steps; "per_trajectory" is one of them.
+void BM_TransientTrajectoryCascade6(benchmark::State& state) {
+  core::server::CampaignRequest request;
+  request.circuit = "cascade6";
+  request.analysis = "transient";
+  const core::server::CampaignJob job = core::server::BuildCampaignJob(request);
+  core::DftCircuit work = job.circuit.Clone();
+  const core::CampaignFrame frame =
+      core::BuildCampaignFrame(work, job.fault_list, job.options);
+  core::ScopedConfiguration config(
+      work, core::ConfigVector::FromBits("101010100"));
+  const faults::FaultSimulator simulator(work.Circuit(), frame.sweep,
+                                         frame.probe, job.options.mna);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.SimulateTransientRange(
+        job.fault_list, 0, 1, 1, *frame.transient));
+  }
+  state.counters["per_trajectory"] = benchmark::Counter(
+      2.0, benchmark::Counter::kIsIterationInvariantRate |
+               benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TransientTrajectoryCascade6);
+
 boolcov::CoverProblem RandomCover(std::size_t vars, std::size_t clauses,
                                   double density, std::uint64_t seed) {
   std::mt19937_64 rng(seed);

@@ -344,10 +344,14 @@ ConfigResult AssembleConfigRow(const ConfigVector& cv,
   ConfigResult row{cv, {}, std::move(responses[0]), {}};
   row.faults.reserve(fault_end - fault_begin);
   std::size_t quarantined_cells = 0;
-  for (std::size_t j = fault_begin; j < fault_end; ++j) {
-    row.faults.push_back(testability::AnalyzeFault(
-        fault_list[j], row.nominal, responses[1 + j - fault_begin], criteria));
-    quarantined_cells += row.faults.back().quarantined_points;
+  if (fault_begin < fault_end) {
+    // The nominal's magnitudes, denominators and weights, once per row.
+    const testability::ScoringReference reference(row.nominal, criteria);
+    for (std::size_t j = fault_begin; j < fault_end; ++j) {
+      row.faults.push_back(testability::AnalyzeFault(
+          fault_list[j], reference, responses[1 + j - fault_begin]));
+      quarantined_cells += row.faults.back().quarantined_points;
+    }
   }
   // Cell accounting for run reports and the CLI exit code: a cell is one
   // (config, fault, omega) verdict; quarantined cells were excluded from

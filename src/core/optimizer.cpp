@@ -88,7 +88,11 @@ ScoredSet DftOptimizer::ScoreWithCost(const boolcov::Cube& rows,
 
 SelectionResult DftOptimizer::Optimize(
     const CostFunction& cost, const boolcov::PetrickOptions& options) const {
-  FundamentalSolution fundamental = SolveFundamental(options);
+  return Optimize(cost, SolveFundamental(options));
+}
+
+SelectionResult DftOptimizer::Optimize(
+    const CostFunction& cost, const FundamentalSolution& fundamental) const {
   if (fundamental.minimal_covers.empty()) {
     throw util::OptimizationError("no covering configuration set exists");
   }
@@ -125,9 +129,18 @@ SelectionResult DftOptimizer::OptimizeConfigurationCount() const {
   return Optimize(ConfigCountCost{});
 }
 
+SelectionResult DftOptimizer::OptimizeConfigurationCount(
+    const FundamentalSolution& fundamental) const {
+  return Optimize(ConfigCountCost{}, fundamental);
+}
+
 PartialDftResult DftOptimizer::OptimizePartialDft(
     const boolcov::PetrickOptions& options) const {
-  FundamentalSolution fundamental = SolveFundamental(options);
+  return OptimizePartialDft(SolveFundamental(options));
+}
+
+PartialDftResult DftOptimizer::OptimizePartialDft(
+    const FundamentalSolution& fundamental) const {
   if (fundamental.minimal_covers.empty()) {
     throw util::OptimizationError("no covering configuration set exists");
   }

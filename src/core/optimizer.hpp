@@ -106,13 +106,23 @@ class DftOptimizer {
   SelectionResult Optimize(const CostFunction& cost,
                            const boolcov::PetrickOptions& options = {}) const;
 
+  /// Optimize over the covers of `fundamental`, this optimizer's
+  /// SolveFundamental() result (so one Petrick expansion serves every
+  /// optimization of a campaign).
+  SelectionResult Optimize(const CostFunction& cost,
+                           const FundamentalSolution& fundamental) const;
+
   /// Sec. 4.2 shortcut: minimize the configuration count.
   SelectionResult OptimizeConfigurationCount() const;
+  SelectionResult OptimizeConfigurationCount(
+      const FundamentalSolution& fundamental) const;
 
   /// Sec. 4.3: minimize the configurable-opamp count and derive the
   /// partial-DFT implementation.
   PartialDftResult OptimizePartialDft(
       const boolcov::PetrickOptions& options = {}) const;
+  PartialDftResult OptimizePartialDft(
+      const FundamentalSolution& fundamental) const;
 
   /// Scalable fallback for large configuration spaces where Petrick
   /// explodes: exact branch-and-bound minimum-cardinality cover (no

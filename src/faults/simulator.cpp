@@ -7,6 +7,7 @@
 #include "faults/stamp_delta.hpp"
 #include "linalg/lowrank.hpp"
 #include "linalg/lu.hpp"
+#include "linalg/sparse_lu.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -496,7 +497,9 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
 namespace {
 
 /// Per-thread-block state of a fault-major transient campaign.  Each block
-/// owns a private netlist clone (fault injection mutates element values).
+/// owns a private netlist clone (fault injection mutates element values)
+/// and the real factor and solution storage every trajectory it marches
+/// reuses.
 ///
 /// Determinism: a trajectory is marched start-to-finish inside one block,
 /// and every solve/escalation decision is a pure function of (netlist
@@ -512,7 +515,10 @@ class TransientBlock {
   /// the nominal trajectory; otherwise `fault` is injected for the
   /// stepper's construction, which captures the faulty values and matrix.
   /// Factorization ladder: Markowitz sparse, then jittered pivot, then
-  /// dense.
+  /// dense, each factored once.  A sparse factor is copied into real
+  /// arrays and every step solves in double; the system is real, so the
+  /// values are the real parts of the complex solve (see
+  /// linalg::SparseLu::CopyRealFactor).
   std::size_t March(const spice::Probe& probe,
                     std::vector<linalg::Complex>& values,
                     const Fault* fault = nullptr) {
@@ -525,53 +531,65 @@ class TransientBlock {
       if (fault != nullptr) injection.emplace(*element, *fault);
       stepper.emplace(sys_, local_, spec_);
     } catch (const util::Error&) {
-      // The faulty value is unrepresentable or the system cannot assemble:
-      // nothing to factor — quarantine the whole trajectory.
+      // The faulty value is unrepresentable or the system cannot assemble
+      // (or is not real): nothing to factor — quarantine the whole
+      // trajectory.
       RetryCounter().Add();
       return 0;
     }
 
-    std::optional<linalg::SparseLu> lu;
-    std::optional<linalg::Matrix> dense;
+    // A factorization that fails where the first step would have solved is
+    // counted as that step failing: bad from step 0, one retry.
+    const auto bad_from_start = [] {
+      StepCounter().Add();
+      RetryCounter().Add();
+      return std::size_t{0};
+    };
+    std::optional<linalg::LuFactorization> dense;  // set: the dense stage
     try {
-      lu.emplace(linalg::CsrMatrix(stepper->Matrix()));
+      linalg::SparseLu lu(linalg::CsrMatrix(stepper->Matrix()));
+      if (!lu.CopyRealFactor(factor_)) return bad_from_start();
     } catch (const util::Error&) {
       RetryCounter().Add();
       try {
-        lu.emplace(linalg::CsrMatrix(stepper->Matrix()),
-                   linalg::SparseLuOptions{1.0});
+        linalg::SparseLu lu(linalg::CsrMatrix(stepper->Matrix()),
+                            linalg::SparseLuOptions{1.0});
+        if (!lu.CopyRealFactor(factor_)) return bad_from_start();
       } catch (const util::Error&) {
         RetryCounter().Add();
+        linalg::Matrix a;
         try {
-          dense = stepper->Matrix().ToDense();
+          a = stepper->Matrix().ToDense();
         } catch (const util::Error&) {
           return 0;
         }
+        try {
+          dense.emplace(a);
+        } catch (const util::Error&) {
+          return bad_from_start();
+        }
       }
     }
-    // Per step: solve, probe, advance.  The first step that throws or
-    // probes a non-finite value is the trajectory's first bad step.
-    linalg::Vector x;  // reused by every step's sparse solve
+    // Per step: solve, probe, advance.  The first step that probes a
+    // non-finite value is the trajectory's first bad step.
+    const auto at = [&](spice::NodeId node) {
+      return node == spice::kGround ? 0.0 : x_[node - 1];
+    };
     for (std::size_t k = 0; k < spec_.steps; ++k) {
       StepCounter().Add();
-      try {
-        const linalg::Vector& b = stepper->NextRhs();
-        if (lu) {
-          lu->Solve(b, x);
-        } else {
-          x = linalg::SolveDense(*dense, b);
-        }
-        const linalg::Complex v = ProbeValue(probe, x);
-        if (!Finite(v)) {
-          RetryCounter().Add();
-          return k;
-        }
-        values[k] = v;
-        stepper->Advance(x);
-      } catch (const util::Error&) {
+      const std::vector<double>& b = stepper->NextRhs();
+      if (dense) {
+        SolveDenseStep(*dense, b);
+      } else {
+        factor_.Solve(b, x_);
+      }
+      const double v = at(probe.plus) - at(probe.minus);
+      if (!std::isfinite(v)) {
         RetryCounter().Add();
         return k;
       }
+      values[k] = linalg::Complex(v, 0.0);
+      stepper->Advance(x_);
     }
     return spec_.steps;
   }
@@ -586,9 +604,25 @@ class TransientBlock {
     return c;
   }
 
+  /// One step on the dense factor: the complex solve of the real RHS, whose
+  /// real parts become x_.
+  void SolveDenseStep(const linalg::LuFactorization& lu,
+                      const std::vector<double>& b) {
+    dense_x_.Resize(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      dense_x_[i] = linalg::Complex(b[i], 0.0);
+    }
+    lu.SolveInPlace(dense_x_);
+    x_.resize(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) x_[i] = dense_x_[i].real();
+  }
+
   spice::Netlist local_;
   spice::MnaSystem sys_;
   spice::TransientSpec spec_;
+  linalg::RealLuFactor factor_;  // the current trajectory's sparse factor
+  std::vector<double> x_;        // the current step's solution
+  linalg::Vector dense_x_;       // the dense stage's complex solution
 };
 
 }  // namespace

@@ -128,7 +128,7 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
     row_begin[r] = pool.size();
     for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
       if (vals[k] != Complex(0.0, 0.0)) {
-        pool.push_back(WorkEntry{ci[k], vals[k], std::abs(vals[k])});
+        pool.push_back(WorkEntry{ci[k], vals[k], Magnitude(vals[k])});
       }
     }
     row_size[r] = row_cap[r] = pool.size() - row_begin[r];
@@ -230,12 +230,12 @@ SparseLu::SparseLu(const CsrMatrix& a, SparseLuOptions options) {
           ++j;  // the pivot column itself: no update needed
         } else if (i >= rsize || upper_[j].col < row[i].col) {
           const Complex v = -m * upper_[j].val;
-          merged.push_back(WorkEntry{upper_[j].col, v, std::abs(v)});
+          merged.push_back(WorkEntry{upper_[j].col, v, Magnitude(v)});
           ++j;
         } else {
           const Complex v = row[i].val - m * upper_[j].val;
           if (v != Complex(0.0, 0.0)) {
-            merged.push_back(WorkEntry{row[i].col, v, std::abs(v)});
+            merged.push_back(WorkEntry{row[i].col, v, Magnitude(v)});
           }
           ++i;
           ++j;
@@ -573,6 +573,76 @@ void SparseLu::Solve(const Vector& b, Vector& x) {
     }
     x[pc] = Divide(acc, half[s]);
   }
+}
+
+bool SparseLu::CopyRealFactor(RealLuFactor& out) const {
+  if (program_) {
+    throw util::NumericError(
+        "sparse LU real copy needs the factor from construction");
+  }
+  const auto real = [](const Entry& e) { return e.val.imag() == 0.0; };
+  if (!std::all_of(upper_.begin(), upper_.end(), real) ||
+      !std::all_of(lower_.begin(), lower_.end(), real)) {
+    return false;
+  }
+  out.row_perm_ = row_perm_;
+  out.col_perm_ = col_perm_;
+  out.row_pos_.resize(n_);
+  for (std::size_t k = 0; k < n_; ++k) out.row_pos_[row_perm_[k]] = k;
+  out.lower_ptr_ = lower_ptr_;
+  out.lower_step_.resize(lower_.size());
+  out.lower_val_.resize(lower_.size());
+  for (std::size_t e = 0; e < lower_.size(); ++e) {
+    out.lower_step_[e] = out.row_pos_[lower_[e].col];
+    out.lower_val_[e] = lower_[e].val.real();
+  }
+  // U without the pivots: each step's run loses exactly one entry.
+  out.upper_ptr_.resize(n_ + 1);
+  out.upper_step_.resize(upper_.size() - n_);
+  out.upper_val_.resize(upper_.size() - n_);
+  out.pivot_.resize(n_);
+  std::size_t u = 0;
+  for (std::size_t s = 0; s < n_; ++s) {
+    out.upper_ptr_[s] = u;
+    for (std::size_t e = upper_ptr_[s]; e < upper_ptr_[s + 1]; ++e) {
+      if (upper_[e].col == col_perm_[s]) {
+        out.pivot_[s] = upper_[e].val.real();
+      } else {
+        out.upper_step_[u] = col_pos_[upper_[e].col];
+        out.upper_val_[u] = upper_[e].val.real();
+        ++u;
+      }
+    }
+  }
+  out.upper_ptr_[n_] = u;
+  out.work_.resize(n_);
+  return true;
+}
+
+void RealLuFactor::Solve(const std::vector<double>& b, std::vector<double>& x) {
+  const std::size_t n = pivot_.size();
+  if (b.size() != n) {
+    throw util::NumericError("sparse LU real solve dimension mismatch");
+  }
+  x.resize(n);
+  double* const w = work_.data();
+  for (std::size_t k = 0; k < n; ++k) w[k] = b[row_perm_[k]];
+  for (std::size_t s = 0; s < n; ++s) {
+    const double ys = w[s];
+    for (std::size_t e = lower_ptr_[s]; e < lower_ptr_[s + 1]; ++e) {
+      w[lower_step_[e]] -= lower_val_[e] * ys;
+    }
+  }
+  // Backward: w[s] turns from y_s into x's step-s value; the U entries of
+  // step s read only later steps, which are already solved.
+  for (std::size_t s = n; s-- > 0;) {
+    double acc = w[s];
+    for (std::size_t e = upper_ptr_[s]; e < upper_ptr_[s + 1]; ++e) {
+      acc -= upper_val_[e] * w[upper_step_[e]];
+    }
+    w[s] = acc / pivot_[s];
+  }
+  for (std::size_t s = 0; s < n; ++s) x[col_perm_[s]] = w[s];
 }
 
 Vector SparseLu::SolveTranspose(const Vector& c) {

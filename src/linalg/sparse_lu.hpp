@@ -15,7 +15,14 @@
 //
 // Every division goes through linalg::Divide (complex_div.hpp), and the
 // pivot and growth tests avoid hypot where the answer is clear; both give
-// the bits and decisions of the plain std::complex operators.
+// the bits and decisions of the plain std::complex operators.  The
+// Markowitz search reads entry magnitudes through linalg::Magnitude, which
+// skips hypot for an entry with a +-0 part.
+//
+// A factor of a real system (every stored value with imaginary part
+// exactly 0) can be copied into a RealLuFactor (CopyRealFactor) and solved
+// in double: the transient march factors once per trajectory and solves
+// once per step.
 #pragma once
 
 #include <algorithm>
@@ -36,6 +43,37 @@ struct SparseLuOptions {
 /// A compiled factor program (defined in sparse_lu.cpp).  Immutable: one
 /// program serves every factor of its pattern and pivot order.
 class FactorProgram;
+
+/// A SparseLu factor of a real system, copied into real arrays for many
+/// solves in double (the transient march: one factor, one solve per step).
+/// Filled by SparseLu::CopyRealFactor; the caller owns it, so refilling one
+/// object for every trajectory reuses its storage.
+class RealLuFactor {
+ public:
+  /// Solve A x = b into `x` (resized).  The operations are
+  /// SparseLu::Solve's construction-path sequence on the real parts:
+  /// forward targets in step order, U entries in stored order, then
+  /// acc / pivot.  `x` must not alias `b`.
+  void Solve(const std::vector<double>& b, std::vector<double>& x);
+
+ private:
+  friend class SparseLu;
+
+  // Indices are elimination steps: a forward target's row and a U entry's
+  // column are stored as the step that pivots on them, so both passes run
+  // in step space and only the load and the store permute.
+  std::vector<std::size_t> row_perm_;    // step -> original row of b
+  std::vector<std::size_t> col_perm_;    // step -> original column of x
+  std::vector<std::size_t> lower_ptr_;   // n+1
+  std::vector<std::size_t> lower_step_;  // target row's step
+  std::vector<double> lower_val_;        // multiplier
+  std::vector<std::size_t> upper_ptr_;   // n+1
+  std::vector<std::size_t> upper_step_;  // column's step (pivot excluded)
+  std::vector<double> upper_val_;
+  std::vector<double> pivot_;
+  std::vector<std::size_t> row_pos_;     // original row -> step (for the copy)
+  std::vector<double> work_;             // step-space solve workspace
+};
 
 /// Sparse LU of a square CSR matrix.  Construction performs the full
 /// symbolic+numeric factorization; Solve() is then cheap and reusable.
@@ -108,6 +146,18 @@ class SparseLu {
   /// the factor program on first use (non-const for the same scratch-buffer
   /// reason as Solve()).
   Vector SolveTranspose(const Vector& c);
+
+  /// Copy the factor from construction into `out` for real solves; returns
+  /// false, leaving `out` unchanged, when a stored value (multiplier, U
+  /// entry or pivot) has an imaginary part that is not exactly 0.  On a
+  /// real system that happens only once the elimination produced a
+  /// non-finite value.  Where every imaginary part is +-0, each real
+  /// operation of RealLuFactor::Solve equals the real part of the complex
+  /// one for finite values (Divide's ratio is +-0 and its denominator the
+  /// pivot), up to the sign of a zero.  Throws NumericError once a factor
+  /// program exists (Refactor, EnsureFactorProgram, AdoptProgram), since
+  /// the construction factor may then be superseded.
+  bool CopyRealFactor(RealLuFactor& out) const;
 
   /// Matrix dimension.
   std::size_t Size() const noexcept { return n_; }

@@ -42,12 +42,21 @@ void FrequencyResponse::CheckConsistent() const {
 std::vector<double> DeviationDenominators(const FrequencyResponse& reference,
                                           double relative_floor) {
   reference.CheckConsistent();
+  std::vector<double> magnitude(reference.PointCount());
+  for (std::size_t i = 0; i < magnitude.size(); ++i) {
+    magnitude[i] = linalg::Magnitude(reference.values[i]);
+  }
+  return DeviationDenominators(magnitude, relative_floor);
+}
+
+std::vector<double> DeviationDenominators(const std::vector<double>& magnitude,
+                                          double relative_floor) {
   double peak = 0.0;
-  for (const auto& v : reference.values) peak = std::max(peak, std::abs(v));
+  for (const double m : magnitude) peak = std::max(peak, m);
   const double floor = std::max(relative_floor * peak, 1e-300);
-  std::vector<double> denom(reference.PointCount());
+  std::vector<double> denom(magnitude.size());
   for (std::size_t i = 0; i < denom.size(); ++i) {
-    denom[i] = std::max(std::abs(reference.values[i]), floor);
+    denom[i] = std::max(magnitude[i], floor);
   }
   return denom;
 }
@@ -68,13 +77,12 @@ std::vector<double> DeviationImpl(const FrequencyResponse& faulty,
 
   std::vector<double> dev(reference.PointCount());
   for (std::size_t i = 0; i < dev.size(); ++i) {
-    const double denom = denoms[i];
-    const double num =
-        magnitude_only
-            ? std::abs(std::abs(faulty.values[i]) -
-                       std::abs(reference.values[i]))
-            : std::abs(faulty.values[i] - reference.values[i]);
-    dev[i] = num / denom;
+    dev[i] = magnitude_only
+                 ? PointMagnitudeDeviation(
+                       faulty.values[i],
+                       linalg::Magnitude(reference.values[i]), denoms[i])
+                 : PointDeviation(faulty.values[i], reference.values[i],
+                                  denoms[i]);
   }
   return dev;
 }

@@ -3,10 +3,12 @@
 // between a faulty and the fault-free response.
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <string>
 #include <vector>
 
+#include "linalg/complex_div.hpp"
 #include "util/error.hpp"
 
 namespace mcdft::spice {
@@ -88,5 +90,24 @@ std::vector<double> MagnitudeDeviation(const FrequencyResponse& faulty,
 /// classifications then agree bit-for-bit with the unscreened verdicts.
 std::vector<double> DeviationDenominators(const FrequencyResponse& reference,
                                           double relative_floor);
+
+/// The same denominators from the reference magnitudes |T_ref_i|
+/// (linalg::Magnitude of each value), for callers that keep them.
+std::vector<double> DeviationDenominators(const std::vector<double>& magnitude,
+                                          double relative_floor);
+
+/// One point of RelativeDeviation: |faulty - reference| / denom.
+inline double PointDeviation(std::complex<double> faulty,
+                             std::complex<double> reference, double denom) {
+  return linalg::Magnitude(faulty - reference) / denom;
+}
+
+/// One point of MagnitudeDeviation, from the reference magnitude:
+/// ||faulty| - reference_magnitude| / denom.
+inline double PointMagnitudeDeviation(std::complex<double> faulty,
+                                      double reference_magnitude,
+                                      double denom) {
+  return std::fabs(linalg::Magnitude(faulty) - reference_magnitude) / denom;
+}
 
 }  // namespace mcdft::spice

@@ -9,6 +9,12 @@
 // over these pieces is faults::FaultSimulator::SimulateTransientRange: the
 // nominal trajectory is its no-fault slot.
 //
+// The system is real by construction: s = (2/h, 0), opamp gains are taken
+// at s = 0 and sources stamp their principal value, so the stepper checks
+// that the assembled matrix and RHS are real and keeps the RHS and the
+// companion states in double.  The march solves each step in double
+// (linalg::RealLuFactor), which equals the real part of the complex solve.
+//
 // Discretization (trapezoidal / bilinear, fixed step h = t_end/steps):
 //   capacitor  i = C dv/dt   ->  i_{n+1} = G_eq v_{n+1} - I_eq,n
 //                                I_eq,n+1 = 2 G_eq v_{n+1} - I_eq,n
@@ -56,20 +62,22 @@ struct TransientSpec {
 class TransientStepper {
  public:
   /// Assemble `sys` at (kTransient, 2/h).  `netlist` must be the system's
-  /// netlist.
+  /// netlist.  Throws AnalysisError when an assembled matrix entry or RHS
+  /// value has an imaginary part that is not exactly 0.
   TransientStepper(const MnaSystem& sys, const Netlist& netlist,
                    const TransientSpec& spec);
 
-  /// The assembled transient system matrix (G + (2/h)C companion form).
+  /// The assembled transient system matrix (G + (2/h)C companion form);
+  /// every entry is real.
   const linalg::TripletMatrix& Matrix() const { return a_; }
 
   /// RHS of the next step: base source vector plus the history injections
   /// of the current companion states.  Valid until the next call.
-  const linalg::Vector& NextRhs();
+  const std::vector<double>& NextRhs();
 
   /// Advance the companion states with the solution of the step whose RHS
   /// was produced by the last NextRhs().
-  void Advance(const linalg::Vector& x);
+  void Advance(const std::vector<double>& x);
 
  private:
   struct CapState {
@@ -88,8 +96,9 @@ class TransientStepper {
   static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
   linalg::TripletMatrix a_;
-  linalg::Vector base_rhs_;  // source contributions (constant per trajectory)
-  linalg::Vector rhs_;       // per-step working RHS
+  std::vector<double> base_rhs_;  // source contributions (constant per
+                                  // trajectory)
+  std::vector<double> rhs_;       // per-step working RHS
   std::vector<CapState> caps_;
   std::vector<IndState> inductors_;
 };

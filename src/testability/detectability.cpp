@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 
+#include "linalg/complex_div.hpp"
+
 namespace mcdft::testability {
 
 namespace {
@@ -19,61 +21,86 @@ float SaturateToFloat(double v) {
 
 }  // namespace
 
-FaultDetectability AnalyzeFault(const faults::Fault& fault,
-                                const spice::FrequencyResponse& nominal,
-                                const spice::FrequencyResponse& faulty,
-                                const DetectionCriteria& criteria) {
+ScoringReference::ScoringReference(const spice::FrequencyResponse& nominal,
+                                   const DetectionCriteria& criteria)
+    : nominal(nominal) {
   if (!(criteria.epsilon > 0.0)) {
     throw util::AnalysisError("detection tolerance epsilon must be positive");
   }
-  const std::vector<double> dev =
-      spice::RelativeDeviation(faulty, nominal, criteria.relative_floor);
-  const std::vector<double> mag_dev =
-      spice::MagnitudeDeviation(faulty, nominal, criteria.relative_floor);
-  if (!criteria.envelope.empty() && criteria.envelope.size() != dev.size()) {
+  nominal.CheckConsistent();
+  const std::size_t n = nominal.PointCount();
+  if (!criteria.envelope.empty() && criteria.envelope.size() != n) {
     throw util::AnalysisError(
         "tolerance envelope size does not match the sweep grid");
   }
+  magnitude.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    magnitude[i] = linalg::Magnitude(nominal.values[i]);
+  }
+  denom = spice::DeviationDenominators(magnitude, criteria.relative_floor);
+  threshold.resize(n);
+  for (std::size_t i = 0; i < n; ++i) threshold[i] = criteria.ThresholdAt(i);
   // Region weights: log-frequency Lebesgue measure for AC sweeps
   // (Definition 2); uniform per-sample weights for time-domain
   // trajectories, where the measure is the detected fraction of the
   // step-response window.
-  std::vector<double> weights;
   if (criteria.time_domain) {
-    weights.assign(dev.size(),
-                   dev.empty() ? 0.0 : 1.0 / static_cast<double>(dev.size()));
+    weight.assign(n, 1.0 / static_cast<double>(n));
   } else {
-    weights = ReferenceBand::LogMeasureWeights(nominal.freqs_hz);
+    weight = ReferenceBand::LogMeasureWeights(nominal.freqs_hz);
   }
+}
 
+FaultDetectability AnalyzeFault(const faults::Fault& fault,
+                                const spice::FrequencyResponse& nominal,
+                                const spice::FrequencyResponse& faulty,
+                                const DetectionCriteria& criteria) {
+  return AnalyzeFault(fault, ScoringReference(nominal, criteria), faulty);
+}
+
+FaultDetectability AnalyzeFault(const faults::Fault& fault,
+                                const ScoringReference& reference,
+                                const spice::FrequencyResponse& faulty) {
+  const spice::FrequencyResponse& nominal = reference.nominal;
+  faulty.CheckConsistent();
+  if (faulty.freqs_hz != nominal.freqs_hz) {
+    throw util::AnalysisError(
+        "relative deviation requires identical frequency grids");
+  }
+  const std::size_t n = nominal.PointCount();
   FaultDetectability out{fault};
-  out.region.mask.resize(dev.size(), false);
-  out.region.magnitude_mask.resize(dev.size(), false);
-  out.region.deviation.resize(dev.size(), 0.0f);
-  out.region.magnitude_deviation.resize(dev.size(), 0.0f);
+  out.region.mask.resize(n, false);
+  out.region.magnitude_mask.resize(n, false);
+  out.region.deviation.resize(n, 0.0f);
+  out.region.magnitude_deviation.resize(n, 0.0f);
 
   double measure = 0.0;
-  for (std::size_t i = 0; i < dev.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dev = spice::PointDeviation(
+        faulty.values[i], nominal.values[i], reference.denom[i]);
+    const double mag_dev = spice::PointMagnitudeDeviation(
+        faulty.values[i], reference.magnitude[i], reference.denom[i]);
     // Quarantined-point convention (see FaultDetectability): the point is
     // counted undetected and contributes no deviation.  A non-finite
     // deviation that slipped past the solve-boundary checks is handled the
     // same way — the comparison layer never propagates NaN/Inf.
     if (nominal.QuarantinedAt(i) || faulty.QuarantinedAt(i) ||
-        !std::isfinite(dev[i]) || !std::isfinite(mag_dev[i])) {
+        !std::isfinite(dev) || !std::isfinite(mag_dev)) {
       ++out.quarantined_points;
       continue;
     }
-    out.region.deviation[i] = SaturateToFloat(dev[i]);
-    out.region.magnitude_deviation[i] = SaturateToFloat(mag_dev[i]);
-    if (dev[i] > criteria.ThresholdAt(i)) {
+    out.region.deviation[i] = SaturateToFloat(dev);
+    out.region.magnitude_deviation[i] = SaturateToFloat(mag_dev);
+    const double threshold = reference.threshold[i];
+    if (dev > threshold) {
       out.region.mask[i] = true;
-      measure += weights[i];
+      measure += reference.weight[i];
     }
-    if (mag_dev[i] > criteria.ThresholdAt(i)) {
+    if (mag_dev > threshold) {
       out.region.magnitude_mask[i] = true;
     }
-    if (dev[i] > out.peak_deviation) {
-      out.peak_deviation = dev[i];
+    if (dev > out.peak_deviation) {
+      out.peak_deviation = dev;
       out.peak_frequency_hz = nominal.freqs_hz[i];
     }
   }

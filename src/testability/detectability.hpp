@@ -100,12 +100,37 @@ struct FaultDetectability {
   DetectabilityRegion region;
 };
 
+/// The nominal half of every fault comparison in one configuration row,
+/// computed once per row instead of once per fault.  Keeps `nominal` by
+/// reference: the response must outlive it.
+struct ScoringReference {
+  /// Built from `nominal` and `criteria`; throws AnalysisError on a
+  /// non-positive epsilon, an inconsistent nominal response or a tolerance
+  /// envelope whose size differs from the grid's.
+  ScoringReference(const spice::FrequencyResponse& nominal,
+                   const DetectionCriteria& criteria);
+
+  const spice::FrequencyResponse& nominal;
+  std::vector<double> magnitude;  ///< |T_nom(i)|
+  std::vector<double> denom;      ///< spice::DeviationDenominators' rule
+  std::vector<double> threshold;  ///< criteria.ThresholdAt(i)
+  /// Region measure weight of each point: log-frequency (Definition 2), or
+  /// uniform for time-domain trajectories.
+  std::vector<double> weight;
+};
+
 /// Evaluate Definition 1 + Definition 2 for a faulty response against the
 /// nominal one.  Both must share the reference band's grid.
 FaultDetectability AnalyzeFault(const faults::Fault& fault,
                                 const spice::FrequencyResponse& nominal,
                                 const spice::FrequencyResponse& faulty,
                                 const DetectionCriteria& criteria = {});
+
+/// AnalyzeFault against a reference built once for the row: the same
+/// verdict, bit for bit.
+FaultDetectability AnalyzeFault(const faults::Fault& fault,
+                                const ScoringReference& reference,
+                                const spice::FrequencyResponse& faulty);
 
 /// Run a whole fault list through AnalyzeFault using a FaultSimulator.
 std::vector<FaultDetectability> AnalyzeFaultList(

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <random>
 
 #include "circuits/biquad.hpp"
@@ -11,6 +14,7 @@
 #include "core/server/request.hpp"
 #include "paper_fixture.hpp"
 #include "testability/metrics.hpp"
+#include "util/faultpoint.hpp"
 
 namespace mcdft::core {
 namespace {
@@ -307,6 +311,74 @@ TEST(CampaignScoring, FaultOrderCheckedAtConstruction) {
   EXPECT_THROW(CampaignResult(faults, std::move(rows),
                               testability::ReferenceBand(10.0, 1e5, 25)),
                util::AnalysisError);
+}
+
+// Every row AssembleConfigRow scores at the CLI defaults (`mcdft analyze`
+// and `mcdft analyze --analysis transient` on each zoo circuit), pinned
+// per circuit and analysis by FNV-1a 64 digest of each fault's per-point
+// float deviations (complex and magnitude-only), both masks, omega, peak
+// and quarantined-point count: how a row is scored must not move a verdict
+// byte.  The campaigns must be undisturbed, so the test opts out of any
+// armed MCDFT_FAULTPOINTS spec; the pins hold at any MCDFT_THREADS.
+TEST(ConfigRowScoring, ZooRowsArePinned) {
+  util::faultpoint::DisarmAll();
+  namespace fp = util::faultpoint;
+  const std::map<std::string, std::string> pins = {
+      {"biquad/ac", "4d11b83063db4edb"},
+      {"khn/ac", "866d925d03baa4a1"},
+      {"ackerberg/ac", "4861191f45c413a1"},
+      {"sallenkey/ac", "80d3525b79ab6fc2"},
+      {"inamp/ac", "4eaacbce3623ad30"},
+      {"notch/ac", "cc4cb642a77f64cb"},
+      {"leapfrog/ac", "b068d7fe3416e3ee"},
+      {"cascade6/ac", "73703820d465dbae"},
+      {"biquad/transient", "52b0a472bf7cef03"},
+      {"khn/transient", "ff51f860b789f387"},
+      {"ackerberg/transient", "faa7976beb75d827"},
+      {"sallenkey/transient", "c24cc42b25acc32c"},
+      {"inamp/transient", "2aabfc01a4c41fb8"},
+      {"notch/transient", "e19096830dbfc428"},
+      {"leapfrog/transient", "1ee8ed6416335e51"},
+      {"cascade6/transient", "cca031327d4921bc"},
+  };
+  const auto fold_float = [](std::uint64_t h, float v) {
+    return fp::DigestCombine(h, std::bit_cast<std::uint32_t>(v));
+  };
+  const auto fold_double = [](std::uint64_t h, double v) {
+    return fp::DigestCombine(h, std::bit_cast<std::uint64_t>(v));
+  };
+  for (const std::string analysis : {"ac", "transient"}) {
+    for (const auto& entry : circuits::Zoo()) {
+      server::CampaignRequest request;
+      request.circuit = entry.name;
+      request.analysis = analysis;
+      const server::CampaignJob job = server::BuildCampaignJob(request);
+      const CampaignResult campaign =
+          RunCampaign(job.circuit, job.fault_list, job.configs, job.options);
+      std::uint64_t h = fp::DigestBytes(nullptr, 0);
+      for (const ConfigResult& row : campaign.PerConfig()) {
+        for (const testability::FaultDetectability& d : row.faults) {
+          const testability::DetectabilityRegion& r = d.region;
+          for (std::size_t i = 0; i < r.mask.size(); ++i) {
+            h = fold_float(h, r.deviation[i]);
+            h = fold_float(h, r.magnitude_deviation[i]);
+            h = fp::DigestCombine(h, (r.mask[i] ? 1u : 0u) |
+                                         (r.magnitude_mask[i] ? 2u : 0u));
+          }
+          h = fold_double(h, d.omega_detectability);
+          h = fold_double(h, d.peak_deviation);
+          h = fold_double(h, d.peak_frequency_hz);
+          h = fp::DigestCombine(h, d.quarantined_points);
+        }
+      }
+      char hex[17];
+      std::snprintf(hex, sizeof hex, "%016llx",
+                    static_cast<unsigned long long>(h));
+      const std::string key = std::string(entry.name) + "/" + analysis;
+      ASSERT_EQ(pins.count(key), 1u) << key << " " << hex;
+      EXPECT_EQ(std::string(hex), pins.at(key)) << key;
+    }
+  }
 }
 
 }  // namespace

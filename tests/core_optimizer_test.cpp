@@ -197,15 +197,27 @@ TEST_F(OptimizerOutput, ZooRenderingsArePinned) {
     const CampaignResult campaign =
         RunCampaign(job.circuit, job.fault_list, job.configs, job.options);
     const DftOptimizer optimizer(job.circuit, campaign);
-    std::string text =
-        RenderFundamental(optimizer.SolveFundamental(), campaign);
-    text += RenderSelection(optimizer.OptimizeConfigurationCount(), campaign);
-    text += RenderPartialDft(optimizer.OptimizePartialDft(), campaign,
-                             job.circuit);
+    // `mcdft optimize`'s path: one Petrick expansion for all three.
+    const FundamentalSolution fundamental = optimizer.SolveFundamental();
+    const std::string selection = RenderSelection(
+        optimizer.OptimizeConfigurationCount(fundamental), campaign);
+    const std::string partial = RenderPartialDft(
+        optimizer.OptimizePartialDft(fundamental), campaign, job.circuit);
+    std::string text = RenderFundamental(fundamental, campaign);
+    text += selection;
+    text += partial;
     text += RowSetName(campaign,
                        optimizer.OptimizeConfigurationCountExact().rows);
     ASSERT_EQ(pins.count(entry.name), 1u) << entry.name;
     EXPECT_EQ(Fnv1a64Hex(text), pins.at(entry.name)) << entry.name;
+    // The signatures that expand on their own render the same bytes.
+    EXPECT_EQ(RenderSelection(optimizer.OptimizeConfigurationCount(), campaign),
+              selection)
+        << entry.name;
+    EXPECT_EQ(RenderPartialDft(optimizer.OptimizePartialDft(), campaign,
+                               job.circuit),
+              partial)
+        << entry.name;
   }
 }
 

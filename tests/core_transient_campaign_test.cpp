@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cstdio>
 #include <filesystem>
+#include <map>
 
 #include "circuits/zoo.hpp"
 #include "core/server/request.hpp"
 #include "core/shard.hpp"
 #include "faults/fault_list.hpp"
+#include "faults/simulator.hpp"
 #include "util/faultpoint.hpp"
 
 namespace mcdft::core {
@@ -148,6 +152,80 @@ TEST_F(TransientShardMerge, MergeMatchesMonolithicForAnyShardCount) {
     EXPECT_EQ(merged.shard_files, count);
     ExpectBitIdentical(monolithic, merged.campaign,
                        std::to_string(count) + "-shard transient merge");
+  }
+}
+
+/// Fold a double into a running FNV-1a 64 digest, reading -0 as +0: the
+/// march's zero signs are not part of its contract.
+std::uint64_t FoldValue(std::uint64_t digest, double v) {
+  return util::faultpoint::DigestCombine(
+      digest, std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v));
+}
+
+std::string Hex(std::uint64_t digest) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(digest));
+  return buf;
+}
+
+// Every trajectory value (real and imaginary parts) and quarantine mask of
+// every configuration at the CLI defaults (`mcdft analyze --analysis
+// transient --faults catastrophic|both`), pinned per zoo circuit by FNV-1a
+// 64 digest: how the march solves must not move a value.  The march is a
+// pure function of its inputs, so the pins hold at any MCDFT_THREADS.
+TEST(TransientCampaign, ZooTrajectoriesArePinned) {
+  util::faultpoint::DisarmAll();
+  const std::map<std::string, std::string> pins = {
+      {"biquad/catastrophic", "1bd680364d876f2d"},
+      {"khn/catastrophic", "a9529322c381bdb0"},
+      {"ackerberg/catastrophic", "5f2bb194d8167527"},
+      {"sallenkey/catastrophic", "9a0f6cb0acdf81f0"},
+      {"inamp/catastrophic", "861e45dcafd28822"},
+      {"notch/catastrophic", "598211ea6931c791"},
+      {"leapfrog/catastrophic", "b88c97f9d71095d4"},
+      {"cascade6/catastrophic", "12833f0a8aa48b31"},
+      {"biquad/both", "c1aea15aa40b9096"},
+      {"khn/both", "2216152b19a906e2"},
+      {"ackerberg/both", "cf2a07ebdc4e0df5"},
+      {"sallenkey/both", "2c5757ea10fc43c7"},
+      {"inamp/both", "00f932e0d8703c49"},
+      {"notch/both", "4aaf2d49272efcfd"},
+      {"leapfrog/both", "43a32499d68d74f6"},
+      {"cascade6/both", "faf4b16d7eada82f"},
+  };
+  for (const std::string universe : {"catastrophic", "both"}) {
+    for (const auto& entry : circuits::Zoo()) {
+      server::CampaignRequest request;
+      request.circuit = entry.name;
+      request.analysis = "transient";
+      request.fault_universe = universe;
+      const server::CampaignJob job = server::BuildCampaignJob(request);
+      DftCircuit work = job.circuit.Clone();
+      const CampaignFrame frame =
+          BuildCampaignFrame(work, job.fault_list, job.options);
+      std::uint64_t digest = util::faultpoint::DigestBytes(nullptr, 0);
+      for (const ConfigVector& cv : job.configs) {
+        const PreparedConfig prepared =
+            PrepareCampaignConfig(work, frame, cv, job.options);
+        const faults::FaultSimulator simulator(
+            prepared.netlist, frame.sweep, frame.probe, job.options.mna);
+        for (const spice::FrequencyResponse& r :
+             simulator.SimulateTransientRange(
+                 job.fault_list, 0, job.fault_list.size(),
+                 job.options.threads, *frame.transient)) {
+          for (std::size_t t = 0; t < r.PointCount(); ++t) {
+            digest = FoldValue(digest, r.values[t].real());
+            digest = FoldValue(digest, r.values[t].imag());
+            digest = util::faultpoint::DigestCombine(digest,
+                                                     r.QuarantinedAt(t));
+          }
+        }
+      }
+      const std::string key = std::string(entry.name) + "/" + universe;
+      ASSERT_EQ(pins.count(key), 1u) << key << " " << Hex(digest);
+      EXPECT_EQ(Hex(digest), pins.at(key)) << key;
+    }
   }
 }
 

@@ -208,6 +208,47 @@ std::vector<Complex> ExtremeParts() {
   return out;
 }
 
+TEST(ComplexMagnitude, MatchesStdAbsBitwise) {
+  const auto check = [](Complex z) {
+    const double expected = std::abs(z);
+    const double got = Magnitude(z);
+    if (std::isnan(expected)) {
+      EXPECT_TRUE(std::isnan(got))
+          << std::hexfloat << "(" << z.real() << ", " << z.imag() << ")";
+      return;
+    }
+    EXPECT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
+        << std::hexfloat << "(" << z.real() << ", " << z.imag() << ") -> "
+        << expected << " vs " << got;
+  };
+  // Random parts over the whole range (signed zeros, subnormals, huge
+  // values, infinities, NaN), each also paired with +-0.
+  std::mt19937_64 rng(77);
+  std::size_t one_zero_part = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const double a = RandomPart(rng);
+    const double b = RandomPart(rng);
+    check(Complex(a, b));
+    check(Complex(b, a));
+    for (const double zero : {0.0, -0.0}) {
+      check(Complex(a, zero));
+      check(Complex(zero, a));
+      one_zero_part += 2;
+    }
+  }
+  EXPECT_GT(one_zero_part, 0u);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const double x : {0.0, -0.0, 1.0, -3.5, tiny, -tiny, DBL_MIN, DBL_MAX,
+                         -DBL_MAX, inf, -inf, nan}) {
+    for (const double y : {0.0, -0.0, 2.0, tiny, DBL_MAX, inf, -inf, nan}) {
+      check(Complex(x, y));
+      check(Complex(y, x));
+    }
+  }
+}
+
 TEST(SparseLu, PivotTestsMatchStdAbs) {
   std::vector<Complex> cases = AroundMagnitude(SparseLu::kRefactorGrowthLimit);
   for (const Complex& c : AroundMagnitude(SparseLu::kSingularAbs)) {

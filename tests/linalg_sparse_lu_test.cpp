@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "util/error.hpp"
@@ -207,6 +209,125 @@ TEST(SparseLu, PivotThresholdOneIsPartialPivoting) {
   for (std::size_t i = 0; i < 30; ++i) {
     EXPECT_NEAR(std::abs(x1[i] - x2[i]), 0.0, 1e-9);
   }
+}
+
+/// Random sparse real system whose strong entries sit on a random
+/// permutation, so pivots land off the diagonal and the elimination fills
+/// in.  `scale` multiplies every entry (to push pivots outside Divide's
+/// fast range).
+TripletMatrix RandomRealSparse(std::size_t n, double density, double scale,
+                               std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  std::shuffle(perm.begin(), perm.end(), rng);
+  TripletMatrix t(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (c == perm[r]) {
+        t.Add(r, c, Complex(scale * (2.0 + u(rng)), 0.0));
+      } else if (coin(rng) < density) {
+        t.Add(r, c, Complex(scale * u(rng), 0.0));
+      }
+    }
+  }
+  return t;
+}
+
+TEST(SparseLuRealFactor, MatchesComplexSolveOnRandomRealSystems) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  const double scales[] = {1.0, 1e-120, 1e120, 1e-250, 1e250};
+  std::size_t systems = 0;
+  std::size_t filled = 0;
+  RealLuFactor real;  // one object refilled for every system
+  std::vector<double> br;
+  std::vector<double> xr;
+  for (int trial = 0; trial < 250; ++trial) {
+    const std::size_t n = 3 + rng() % 38;
+    const double density = 0.05 + 0.3 * (u(rng) + 1.0) / 2.0;
+    const double scale = scales[trial % 5];
+    const TripletMatrix t = RandomRealSparse(n, density, scale, rng);
+    const CsrMatrix csr(t);
+    SparseLu lu(csr);
+    if (lu.FactorNonZeroCount() > csr.NonZeroCount()) ++filled;
+    ASSERT_TRUE(lu.CopyRealFactor(real)) << "trial " << trial;
+    ++systems;
+    for (int rhs = 0; rhs < 3; ++rhs) {
+      Vector b(n);
+      br.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        br[i] = rhs == 0 && i % 3 == 0 ? 0.0 : u(rng) * scale;
+        b[i] = Complex(br[i], 0.0);
+      }
+      const Vector x = lu.Solve(b);
+      real.Solve(br, xr);
+      ASSERT_EQ(xr.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // == ignores the sign of a zero, the one thing that may differ.
+        EXPECT_EQ(xr[i], x[i].real()) << "trial " << trial << " i " << i;
+        EXPECT_EQ(x[i].imag(), 0.0) << "trial " << trial << " i " << i;
+      }
+    }
+  }
+  EXPECT_GE(systems, 200u);
+  EXPECT_GE(filled, 100u);  // most systems fill in
+}
+
+TEST(SparseLuRealFactor, RefusesANonRealFactor) {
+  TripletMatrix t(2, 2);
+  t.Add(0, 0, Complex(2.0, 0.0));
+  t.Add(0, 1, Complex(1.0, 0.0));
+  t.Add(1, 0, Complex(1.0, 0.0));
+  t.Add(1, 1, Complex(3.0, 0.0));
+  RealLuFactor real;
+  EXPECT_TRUE(SparseLu(CsrMatrix(t)).CopyRealFactor(real));
+  // One non-real entry: the factor holds a non-real value.
+  t.Add(1, 1, Complex(0.0, 1e-300));
+  EXPECT_FALSE(SparseLu(CsrMatrix(t)).CopyRealFactor(real));
+  // A NaN imaginary part is not exactly 0 either (row 1 pivots first, so
+  // the NaN entry becomes a multiplier).
+  TripletMatrix nan_part(2, 2);
+  nan_part.Add(0, 0, Complex(2.0, 0.0));
+  nan_part.Add(0, 1, Complex(1.0, std::nan("")));
+  nan_part.Add(1, 1, Complex(3.0, 0.0));
+  EXPECT_FALSE(SparseLu(CsrMatrix(nan_part)).CopyRealFactor(real));
+}
+
+TEST(SparseLuRealFactor, NeedsTheFactorFromConstruction) {
+  TripletMatrix t(2, 2);
+  t.Add(0, 0, Complex(2.0, 0.0));
+  t.Add(1, 1, Complex(3.0, 0.0));
+  SparseLu lu{CsrMatrix(t)};
+  lu.EnsureFactorProgram();
+  RealLuFactor real;
+  EXPECT_THROW(lu.CopyRealFactor(real), util::NumericError);
+}
+
+TEST(SparseLuRealFactor, RefusesAnEliminationThatOverflows) {
+  // Every entry is finite and real, but the elimination multiplies entries
+  // of 1e300 and 1e200: a product overflows, and once an infinity meets a
+  // zero imaginary part the factor holds a NaN one.
+  TripletMatrix t(4, 4);
+  const auto add = [&](std::size_t r, std::size_t c, double v) {
+    t.Add(r, c, Complex(v, 0.0));
+  };
+  add(0, 2, 1e200);
+  add(0, 3, 1e200);
+  add(1, 2, 1e200);
+  add(1, 3, 1.0);
+  add(2, 1, 1.0);
+  add(2, 2, 1e300);
+  add(3, 0, 1.0);
+  add(3, 1, 1e300);
+  add(3, 3, 1e300);
+  SparseLu lu{CsrMatrix(t)};
+  RealLuFactor real;
+  EXPECT_FALSE(lu.CopyRealFactor(real));
+  const Vector x = lu.Solve(Vector(4, Complex(1.0, 0.0)));
+  EXPECT_FALSE(std::all_of(x.data().begin(), x.data().end(),
+                           [](Complex v) { return std::isfinite(v.real()); }));
 }
 
 }  // namespace

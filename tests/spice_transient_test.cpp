@@ -12,17 +12,29 @@
 //
 // Plus: open/short catastrophic stamps (value factors 1e9 / 1e-9) must
 // leave the transient system solvable with finite, physically bounded,
-// unquarantined trajectories.
+// unquarantined trajectories; every element kind must assemble a real
+// system; the dense stage of the march must give the values of a fresh
+// dense solve per step; and an overflowing elimination must quarantine its
+// whole trajectory.
 #include "spice/transient_analysis.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
 #include <random>
 
+#include "circuits/zoo.hpp"
 #include "faults/fault.hpp"
+#include "faults/fault_list.hpp"
+#include "faults/injector.hpp"
 #include "faults/simulator.hpp"
+#include "linalg/lu.hpp"
+#include "linalg/sparse_lu.hpp"
 #include "util/error.hpp"
+#include "util/faultpoint.hpp"
 
 namespace mcdft::spice {
 namespace {
@@ -227,6 +239,192 @@ TEST(TransientAnalysis, OpenShortStampsStayWellConditioned) {
       // A passive RC ladder driven by a 1 V step cannot exceed the
       // source; leave slack for the extreme-value arithmetic.
       ASSERT_LE(std::abs(v), 2.0) << label << " step " << k + 1;
+    }
+  }
+}
+
+/// True when every entry of `m` is real (imaginary part exactly 0).
+bool AllReal(const linalg::TripletMatrix& m) {
+  return std::all_of(m.Entries().begin(), m.Entries().end(),
+                     [](const linalg::Triplet& t) {
+                       return t.value.imag() == 0.0;
+                     });
+}
+
+// The march solves in double, so every bundled element kind must stamp a
+// real transient system: s = (2/h, 0), opamp gains at s = 0, sources at
+// their principal value.
+TEST(TransientAnalysis, EveryElementKindAssemblesReal) {
+  const TransientSpec spec{1e-3, 16};
+  Netlist nl;
+  nl.AddVoltageSource("V1", "in", "0", 1.0, 1.0, 30.0);
+  nl.AddCurrentSource("I1", "0", "n1", 1e-3, 1.0, 45.0);
+  nl.AddResistor("R1", "in", "n1", 1e3);
+  nl.AddCapacitor("C1", "n1", "0", 1e-7);
+  nl.AddInductor("L1", "n1", "n2", 1e-3);
+  nl.AddResistor("R2", "n2", "0", 1e3);
+  nl.AddVcvs("E1", "n3", "0", "n2", "0", 2.0);
+  nl.AddResistor("R3", "n3", "0", 1e3);
+  nl.AddVccs("G1", "n4", "0", "n3", "0", 1e-3);
+  nl.AddResistor("R4", "n4", "0", 1e3);
+  nl.AddCcvs("H1", "n5", "0", "V1", 10.0);
+  nl.AddResistor("R5", "n5", "0", 1e3);
+  nl.AddCccs("F1", "n6", "0", "V1", 0.5);
+  nl.AddResistor("R6", "n6", "0", 1e3);
+  const auto opamp = [&](const char* name, const char* out,
+                         OpampModelKind kind) -> Opamp& {
+    auto& op = static_cast<Opamp&>(nl.AddOpamp(name, "n4", out, out));
+    op.SetModel(OpampModel{kind, 1e5, 1e6});
+    nl.AddResistor(std::string("RL") + name, out, "0", 1e3);
+    return op;
+  };
+  opamp("OP1", "o1", OpampModelKind::kIdeal);
+  opamp("OP2", "o2", OpampModelKind::kFiniteGain);
+  opamp("OP3", "o3", OpampModelKind::kSinglePole);
+  Opamp& normal = opamp("OP4", "o4", OpampModelKind::kSinglePole);
+  normal.MakeConfigurable(nl.FindNode("o3"));
+  Opamp& follower = opamp("OP5", "out", OpampModelKind::kSinglePole);
+  follower.MakeConfigurable(nl.FindNode("o4"));
+  follower.SetMode(OpampMode::kFollower);
+  std::vector<ElementKind> kinds;
+  for (const auto& el : nl.Elements()) kinds.push_back(el->Kind());
+  for (ElementKind kind :
+       {ElementKind::kResistor, ElementKind::kCapacitor,
+        ElementKind::kInductor, ElementKind::kVoltageSource,
+        ElementKind::kCurrentSource, ElementKind::kVcvs, ElementKind::kVccs,
+        ElementKind::kCcvs, ElementKind::kCccs, ElementKind::kOpamp}) {
+    EXPECT_NE(std::find(kinds.begin(), kinds.end(), kind), kinds.end())
+        << ElementKindName(kind);
+  }
+
+  const MnaSystem sys(nl);
+  TransientStepper stepper(sys, nl, spec);  // throws if not real
+  EXPECT_TRUE(AllReal(stepper.Matrix()));
+  // And the march over it runs clean.
+  EXPECT_EQ(MarchNominal(nl, spec).PointCount(), spec.steps);
+}
+
+/// An element that stamps an imaginary admittance even at kTransient.
+class ImaginaryAdmittance final : public Element {
+ public:
+  ImaginaryAdmittance(std::string name, NodeId a, NodeId b)
+      : Element(std::move(name), {a, b}) {}
+  ElementKind Kind() const override { return ElementKind::kResistor; }
+  void Stamp(StampContext& ctx) const override {
+    ctx.AddAdmittance(Nodes()[0], Nodes()[1], Complex(1e-3, 1e-3));
+  }
+  std::unique_ptr<Element> Clone() const override {
+    return std::make_unique<ImaginaryAdmittance>(*this);
+  }
+  std::string ParamString() const override { return "1m+1mj"; }
+};
+
+// A system that is not real cannot be marched in double: the stepper
+// refuses it, and the march quarantines the whole trajectory.
+TEST(TransientAnalysis, NonRealSystemIsRefused) {
+  const TransientSpec spec{1e-3, 8};
+  Netlist nl;
+  nl.AddVoltageSource("V1", "in", "0", 1.0);
+  nl.AddResistor("R1", "in", "out", 1e3);
+  nl.AddElement(std::make_unique<ImaginaryAdmittance>(
+      "X1", nl.FindNode("out"), kGround));
+  const MnaSystem sys(nl);
+  EXPECT_THROW(TransientStepper(sys, nl, spec), util::AnalysisError);
+  EXPECT_EQ(March(nl, spec)[0].QuarantinedCount(), spec.steps);
+}
+
+// Two 1e-306 ohm resistors assemble a finite real matrix (conductances of
+// 1e306), but its elimination overflows: the factor holds a NaN imaginary
+// part, the real copy is refused and the trajectory is bad from step 0.
+// (Solving through that factor in complex arithmetic returns v(out) = 0 at
+// every step, though out sits 1e-306 ohm from a 1 V source.)
+TEST(TransientAnalysis, OverflowingEliminationIsBadFromStepZero) {
+  const TransientSpec spec{1e-6, 8};
+  Netlist nl;
+  nl.AddVoltageSource("V1", "in", "0", 1.0);
+  nl.AddResistor("R0", "in", "out", 1e-306);
+  nl.AddResistor("R1", "b", "a", 1e-306);
+  nl.AddResistor("R2", "out", "a", 1e3);
+  nl.AddCapacitor("C1", "out", "0", 1e-9);
+  nl.AddResistor("RL", "out", "0", 1e3);
+  nl.AddResistor("RA", "a", "0", 1e3);
+  nl.AddResistor("RB", "b", "0", 1e3);
+  const MnaSystem sys(nl);
+  const TransientStepper stepper(sys, nl, spec);
+  for (const linalg::Triplet& t : stepper.Matrix().Entries()) {
+    ASSERT_TRUE(std::isfinite(t.value.real()));
+  }
+  linalg::RealLuFactor real;
+  EXPECT_FALSE(linalg::SparseLu(linalg::CsrMatrix(stepper.Matrix()))
+                   .CopyRealFactor(real));
+  const FrequencyResponse r = March(nl, spec)[0];
+  EXPECT_EQ(r.QuarantinedCount(), spec.steps);
+  for (const Complex& v : r.values) EXPECT_EQ(v, Complex(0.0, 0.0));
+}
+
+/// The dense stage's oracle: a fresh SolveDense (an O(n^3) factorization)
+/// at every step, in complex arithmetic.
+FrequencyResponse PerStepDenseMarch(Netlist nl, const TransientSpec& spec,
+                                    const Probe& probe,
+                                    const faults::Fault* fault) {
+  FrequencyResponse r;
+  r.freqs_hz = spec.Times();
+  r.values.assign(spec.steps, Complex(0.0, 0.0));
+  const MnaSystem sys(nl);
+  std::optional<TransientStepper> stepper;
+  {
+    std::optional<faults::ScopedFaultInjection> injection;
+    if (fault != nullptr) injection.emplace(nl, *fault);
+    stepper.emplace(sys, nl, spec);
+  }
+  const linalg::Matrix dense = stepper->Matrix().ToDense();
+  std::vector<double> x;
+  for (std::size_t k = 0; k < spec.steps; ++k) {
+    const std::vector<double>& b = stepper->NextRhs();
+    linalg::Vector bc(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) bc[i] = Complex(b[i], 0.0);
+    const linalg::Vector xc = linalg::SolveDense(dense, bc);
+    const auto at = [&](NodeId node) {
+      return node == kGround ? Complex(0.0, 0.0) : xc[node - 1];
+    };
+    r.values[k] = at(probe.plus) - at(probe.minus);
+    x.resize(xc.size());
+    for (std::size_t i = 0; i < xc.size(); ++i) x[i] = xc[i].real();
+    stepper->Advance(x);
+  }
+  return r;
+}
+
+// With every sparse factorization failing (the armed sparse_lu.factor
+// faultpoint), the biquad's trajectories run on the dense stage, which
+// factors once per trajectory: each value must equal, bit for bit, the
+// real part of a march that refactors densely at every step.
+TEST(TransientAnalysis, DenseStageMatchesPerStepDenseSolve) {
+  struct Armed {
+    Armed() { util::faultpoint::Arm("sparse_lu.factor", 1.0, 7); }
+    ~Armed() { util::faultpoint::DisarmAll(); }
+  } armed;
+  const core::AnalogBlock block = circuits::FindInZoo("biquad").build();
+  const Netlist& nl = block.netlist;
+  const Probe probe{nl.FindNode(block.output_node), kGround, "v(out)"};
+  const TransientSpec spec{2e-3, 64};
+  const std::vector<faults::Fault> faults = faults::MakeCatastrophicFaults(nl);
+  const faults::FaultSimulator sim(nl, SweepSpec::List({1.0}), probe);
+  const std::vector<FrequencyResponse> got =
+      sim.SimulateTransientRange(faults, 0, faults.size(), 1, spec);
+  EXPECT_GT(util::faultpoint::StatsOf("sparse_lu.factor").fired, 0u);
+  ASSERT_EQ(got.size(), 1 + faults.size());
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    const faults::Fault* fault = j == 0 ? nullptr : &faults[j - 1];
+    const std::string label = j == 0 ? "nominal" : fault->Label();
+    const FrequencyResponse want =
+        PerStepDenseMarch(nl.Clone(), spec, probe, fault);
+    EXPECT_EQ(got[j].QuarantinedCount(), 0u) << label;
+    for (std::size_t k = 0; k < spec.steps; ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j].values[k].real()),
+                std::bit_cast<std::uint64_t>(want.values[k].real()))
+          << label << " step " << k;
+      EXPECT_EQ(got[j].values[k].imag(), 0.0) << label << " step " << k;
     }
   }
 }

@@ -394,9 +394,9 @@ int CmdOptimize(const util::CliArgs& args) {
   core::DftOptimizer optimizer(session.job.circuit, campaign);
   auto fundamental = optimizer.SolveFundamental();
   std::printf("%s\n", core::RenderFundamental(fundamental, campaign).c_str());
-  auto sel = optimizer.OptimizeConfigurationCount();
+  auto sel = optimizer.OptimizeConfigurationCount(fundamental);
   std::printf("%s\n", core::RenderSelection(sel, campaign).c_str());
-  auto part = optimizer.OptimizePartialDft();
+  auto part = optimizer.OptimizePartialDft(fundamental);
   std::printf("%s\n",
               core::RenderPartialDft(part, campaign, session.job.circuit)
                   .c_str());
