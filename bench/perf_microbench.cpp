@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/server/request.hpp"
 #include "faults/injector.hpp"
 #include "faults/sensitivity_screen.hpp"
+#include "faults/simulator.hpp"
 #include "faults/stamp_delta.hpp"
 #include "linalg/lowrank.hpp"
 #include "linalg/lu.hpp"
@@ -454,6 +456,47 @@ void BM_TransientTrajectoryCascade6(benchmark::State& state) {
                benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_TransientTrajectoryCascade6);
+
+// One full-space cascade6 AC campaign unit at `mcdft analyze --circuit
+// cascade6 --max-followers 9`: FaultSimulator::SimulateRange over every
+// fault at 1 thread (as units run per worker), the screen on, in the
+// configuration above.  /0 builds the unit's own delta table (what a call
+// without the campaign's table does), /1 reads the campaign's shared table,
+// built once outside the timing.  "per_cell" is one (fault, omega) cell.
+void BM_SimulateUnitCascade6(benchmark::State& state) {
+  core::server::CampaignRequest request;
+  request.circuit = "cascade6";
+  request.max_followers = 9;
+  const core::server::CampaignJob job = core::server::BuildCampaignJob(request);
+  core::DftCircuit work = job.circuit.Clone();
+  const core::CampaignFrame frame =
+      core::BuildCampaignFrame(work, job.fault_list, job.options);
+  const core::ConfigVector cv = core::ConfigVector::FromBits("101010100");
+  const core::PreparedConfig prepared =
+      core::PrepareCampaignConfig(work, frame, cv, job.options);
+  const std::size_t points = frame.sweep.Frequencies().size();
+  const faults::SensitivityScreenSpec screen =
+      core::MakeSensitivityScreenSpec(prepared.criteria, points, job.options);
+  const std::optional<faults::FaultDeltaTable> shared =
+      core::BuildSharedFaultDeltas(work, frame, job.fault_list, job.options);
+  const faults::FaultSimulator simulator(prepared.netlist, frame.sweep,
+                                         frame.probe, job.options.mna);
+  const faults::FaultDeltaTable* deltas =
+      state.range(0) == 1 ? &*shared : nullptr;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.SimulateRange(
+        job.fault_list, 0, job.fault_list.size(), 1, &screen, deltas));
+  }
+  state.SetLabel(state.range(0) == 1 ? "shared table" : "own table");
+  state.counters["per_cell"] = benchmark::Counter(
+      static_cast<double>(job.fault_list.size() * points),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimulateUnitCascade6)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 boolcov::CoverProblem RandomCover(std::size_t vars, std::size_t clauses,
                                   double density, std::uint64_t seed) {

@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -369,6 +370,32 @@ ConfigResult AssembleConfigRow(const ConfigVector& cv,
   return row;
 }
 
+std::optional<faults::FaultDeltaTable> BuildSharedFaultDeltas(
+    const DftCircuit& work, const CampaignFrame& frame,
+    const std::vector<faults::Fault>& fault_list,
+    const CampaignOptions& options) {
+  static metrics::Counter& shared_deltas =
+      metrics::GetCounter("faults.sim.shared_deltas");
+  if (options.analysis != CampaignAnalysis::kAc) return std::nullopt;
+  util::trace::Span span("campaign.fault_deltas");
+  const spice::Netlist& netlist = work.Circuit();
+  std::vector<const spice::Element*> configurable;
+  for (const std::string& name : work.ConfigurableOpamps()) {
+    configurable.push_back(netlist.FindElement(name));
+  }
+  std::vector<bool> shareable(fault_list.size());
+  for (std::size_t j = 0; j < fault_list.size(); ++j) {
+    const spice::Element* e = netlist.FindElement(fault_list[j].Device());
+    shareable[j] = e != nullptr && std::find(configurable.begin(),
+                                             configurable.end(),
+                                             e) == configurable.end();
+  }
+  faults::FaultDeltaTable table(netlist, frame.sweep.Frequencies(),
+                                fault_list, shareable);
+  shared_deltas.Add(table.EntryCount());
+  return table;
+}
+
 faults::SensitivityScreenSpec MakeSensitivityScreenSpec(
     const testability::DetectionCriteria& criteria, std::size_t points,
     const CampaignOptions& /*options*/) {
@@ -401,7 +428,8 @@ namespace {
 std::vector<spice::FrequencyResponse> SimulateUnit(
     const PreparedConfig& prepared, const CampaignFrame& frame,
     const std::vector<faults::Fault>& fault_list, std::size_t fault_begin,
-    std::size_t fault_end, const CampaignOptions& options) {
+    std::size_t fault_end, const CampaignOptions& options,
+    const faults::FaultDeltaTable* deltas) {
   faults::FaultSimulator simulator(prepared.netlist, frame.sweep, frame.probe,
                                    options.mna);
   if (options.analysis == CampaignAnalysis::kTransient) {
@@ -412,8 +440,10 @@ std::vector<spice::FrequencyResponse> SimulateUnit(
   }
   // Frequency-major: the nominal system is factored once per frequency and
   // the unit's faults apply as SMW rank-updates against it, parallel over
-  // frequency blocks.  A unit always spans the whole grid, so the
-  // sensitivity screen's per-cell verdicts are partition-invariant too.
+  // frequency blocks, with their stamp deltas read from the campaign's
+  // shared table where it covers them.  A unit always spans the whole
+  // grid, so the sensitivity screen's per-cell verdicts are
+  // partition-invariant too.
   std::optional<faults::SensitivityScreenSpec> screen;
   if (spice::SensitivityScreenEnabled(options.mna)) {
     screen = MakeSensitivityScreenSpec(
@@ -421,7 +451,7 @@ std::vector<spice::FrequencyResponse> SimulateUnit(
   }
   return simulator.SimulateRange(fault_list, fault_begin, fault_end,
                                  options.threads,
-                                 screen ? &*screen : nullptr);
+                                 screen ? &*screen : nullptr, deltas);
 }
 
 }  // namespace
@@ -430,7 +460,8 @@ ConfigResult RunCampaignUnit(
     DftCircuit& work, const CampaignFrame& frame, const ConfigVector& cv,
     std::optional<testability::DetectionCriteria> criteria,
     const std::vector<faults::Fault>& fault_list, std::size_t fault_begin,
-    std::size_t fault_end, const CampaignOptions& options) {
+    std::size_t fault_end, const CampaignOptions& options,
+    const faults::FaultDeltaTable* deltas) {
   // Unit boundary: an optional deterministic stall (tests arm
   // `campaign.unit.stall` to slow units down and cancel mid-run; its
   // evaluation count doubles as a progress probe), then the cooperative
@@ -447,7 +478,7 @@ ConfigResult RunCampaignUnit(
   std::vector<spice::FrequencyResponse> responses = [&] {
     util::trace::Span span("campaign.simulate");
     return SimulateUnit(prepared, frame, fault_list, fault_begin, fault_end,
-                        options);
+                        options, deltas);
   }();
   util::trace::Span span("campaign.assemble");
   return AssembleConfigRow(cv, prepared.criteria, std::move(responses),
@@ -471,7 +502,8 @@ std::vector<ConfigResult> RunUnitsPerWorker(
     const std::vector<faults::Fault>& fault_list,
     const std::vector<ConfigVector>& configs,
     std::vector<std::optional<testability::DetectionCriteria>>& criteria,
-    const CampaignOptions& options, std::size_t threads) {
+    const faults::FaultDeltaTable* deltas, const CampaignOptions& options,
+    std::size_t threads) {
   CampaignOptions unit_options = options;
   unit_options.threads = 1;
   std::vector<DftCircuit> clones;
@@ -492,7 +524,7 @@ std::vector<ConfigResult> RunUnitsPerWorker(
         rows[i] = RunCampaignUnit(local, frame, configs[i],
                                   std::move(criteria[i]),
                                   fault_list, 0, fault_list.size(),
-                                  unit_options);
+                                  unit_options, deltas);
       } catch (...) {
         errors[i] = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
@@ -532,11 +564,14 @@ CampaignResult RunCampaign(const DftCircuit& circuit,
         util::trace::Span span("campaign.prepare");
         return PrepareCampaignCriteria(work, frame, configs, options);
       }();
+  const std::optional<faults::FaultDeltaTable> deltas =
+      BuildSharedFaultDeltas(work, frame, fault_list, options);
+  const faults::FaultDeltaTable* shared = deltas ? &*deltas : nullptr;
   const std::size_t threads = util::ResolveThreadCount(options.threads);
   std::vector<ConfigResult> per_config;
   if (configs.size() >= threads) {
     per_config = RunUnitsPerWorker(work, frame, fault_list, configs, criteria,
-                                   options, threads);
+                                   shared, options, threads);
   } else {
     // Fewer units than threads: units run one after another and each
     // parallelizes inside (frequency blocks, transient faults).
@@ -545,7 +580,8 @@ CampaignResult RunCampaign(const DftCircuit& circuit,
       per_config.push_back(RunCampaignUnit(work, frame, configs[i],
                                            std::move(criteria[i]),
                                            fault_list, 0,
-                                           fault_list.size(), options));
+                                           fault_list.size(), options,
+                                           shared));
     }
   }
   return CampaignResult(fault_list, std::move(per_config), frame.band);

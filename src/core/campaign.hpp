@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "core/dft_transform.hpp"
+#include "faults/delta_table.hpp"
 #include "faults/sensitivity_screen.hpp"
 #include "spice/transient_analysis.hpp"
 #include "testability/metrics.hpp"
@@ -189,7 +190,8 @@ CampaignOptions MakePaperCampaignOptions();
 /// pre-selected subset) and `fault_list`.  The circuit is cloned; the
 /// argument is untouched.  Every configuration's criteria come first, from
 /// one shared envelope pass (PrepareCampaignCriteria, under the
-/// campaign.prepare span); then one AC sweep is run per (configuration,
+/// campaign.prepare span), then the shared stamp deltas
+/// (BuildSharedFaultDeltas); then one AC sweep is run per (configuration,
 /// fault) pair plus one nominal sweep per configuration.  The units are the
 /// 1-shard, no-checkpoint loop over RunCampaignUnit: one unit per
 /// configuration, spanning every fault — whole units per worker when there
@@ -208,12 +210,14 @@ CampaignResult RunCampaign(const DftCircuit& circuit,
 // so both loops run the same unit executor (RunCampaignUnit) over the
 // same frame: resolve the frame once, compute the criteria of the
 // configurations to run in one shared envelope pass
-// (PrepareCampaignCriteria), then prepare, simulate and score each
+// (PrepareCampaignCriteria) and the shared stamp deltas
+// (BuildSharedFaultDeltas), then prepare, simulate and score each
 // (configuration, fault range) unit independently.  Every piece is a
 // deterministic function of its arguments (Monte-Carlo envelopes use fixed
-// per-sample seed streams, and a configuration's envelope depends only on
-// its own follower set), so any partition of the work matrix reassembles
-// to identical numbers.
+// per-sample seed streams, a configuration's envelope depends only on its
+// own follower set, and a shared delta is the one every configuration
+// computes), so any partition of the work matrix reassembles to identical
+// numbers.
 
 /// The campaign-wide frame: reference band, sweep grid, output probe and
 /// the component sites the tolerance envelope perturbs (fault-list order).
@@ -268,6 +272,21 @@ PreparedConfig PrepareCampaignConfig(DftCircuit& work,
                                      const ConfigVector& cv,
                                      const CampaignOptions& options);
 
+/// The campaign's shared stamp-delta table: FaultStampDelta::Compute's
+/// outcome at every point of the frame's grid for each fault of
+/// `fault_list` whose device resolves and is not one of `work`'s
+/// configurable opamps.  A configuration only switches those opamps'
+/// modes, so such a fault's delta is the same in every configuration and
+/// is computed once here, on `work` as it stands, under the
+/// campaign.fault_deltas span; its entries count in
+/// `faults.sim.shared_deltas`.  Faults on configurable opamps and devices
+/// that do not resolve are left to the units.  nullopt for transient
+/// campaigns (no stamp deltas).
+std::optional<faults::FaultDeltaTable> BuildSharedFaultDeltas(
+    const DftCircuit& work, const CampaignFrame& frame,
+    const std::vector<faults::Fault>& fault_list,
+    const CampaignOptions& options);
+
 /// Build the adjoint sensitivity-screen spec of one prepared configuration
 /// for a sweep of `points` grid points: per-point detection thresholds
 /// (epsilon + envelope, the exact ThresholdAt() arithmetic the analysis
@@ -298,14 +317,16 @@ ConfigResult AssembleConfigRow(const ConfigVector& cv,
 /// (AssembleConfigRow) under the spans campaign.prepare /
 /// campaign.simulate / campaign.assemble.  The simulate step is the one
 /// place the solve path is chosen: transient trajectories or the
-/// frequency-major SMW sweep (FaultSimulator::SimulateRange).  Returns the
-/// (partial) row; the unit's faulty responses are dropped before it
-/// returns.
+/// frequency-major SMW sweep (FaultSimulator::SimulateRange, reading its
+/// stamp deltas from `deltas`, BuildSharedFaultDeltas' table, where that
+/// covers a fault).  Returns the (partial) row; the unit's faulty
+/// responses are dropped before it returns.
 ConfigResult RunCampaignUnit(
     DftCircuit& work, const CampaignFrame& frame, const ConfigVector& cv,
     std::optional<testability::DetectionCriteria> criteria,
     const std::vector<faults::Fault>& fault_list, std::size_t fault_begin,
-    std::size_t fault_end, const CampaignOptions& options);
+    std::size_t fault_end, const CampaignOptions& options,
+    const faults::FaultDeltaTable* deltas = nullptr);
 
 /// Testability of the *unmodified* block (paper Sec. 2): analyze the fault
 /// list on the functional circuit only.  Returns the single-configuration

@@ -192,6 +192,17 @@ CampaignJob BuildCampaignJob(const CampaignRequest& request) {
     throw util::Error("field 'ppd' must be >= 1, got " +
                       std::to_string(request.ppd));
   }
+  if (!std::isfinite(request.eps)) {
+    throw util::Error("field 'eps' must be finite");
+  }
+  // A negative tolerance is not "off": only 0 switches the envelope off.
+  if (!std::isfinite(request.tol) || request.tol < 0.0) {
+    throw util::Error("field 'tol' must be finite and >= 0 (0 = off)");
+  }
+  if (request.max_followers < -1) {
+    throw util::Error("field 'max_followers' must be >= -1 (-1 = default), "
+                      "got " + std::to_string(request.max_followers));
+  }
   if (request.tol > 0.0 && request.samples < 1) {
     throw util::Error("field 'samples' must be >= 1 when tol > 0, got " +
                       std::to_string(request.samples));
@@ -256,7 +267,7 @@ CampaignJob BuildCampaignJob(const CampaignRequest& request) {
   }
   options.criteria.epsilon = request.eps;
   options.points_per_decade = static_cast<std::size_t>(request.ppd);
-  if (request.tol <= 0.0) {
+  if (request.tol == 0.0) {
     options.tolerance.reset();
   } else {
     options.tolerance->component_tolerance = request.tol;
@@ -270,7 +281,7 @@ CampaignJob BuildCampaignJob(const CampaignRequest& request) {
   ConfigurationSpace space = circuit.Space();
   const std::size_t default_k =
       space.OpampCount() > 5 ? 2 : space.OpampCount();
-  const std::size_t k = request.max_followers < 0
+  const std::size_t k = request.max_followers == -1
                             ? default_k
                             : static_cast<std::size_t>(request.max_followers);
   std::vector<ConfigVector> configs = space.UpToKFollowers(k);

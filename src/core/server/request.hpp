@@ -38,10 +38,10 @@ struct CampaignRequest {
   std::string circuit = "biquad";  ///< zoo name (ignored when deck set)
   std::string deck;                ///< raw SPICE deck text; "" = use zoo
   double eps = 0.08;
-  double tol = 0.03;               ///< <= 0 disables the tolerance envelope
+  double tol = 0.03;               ///< 0 disables the tolerance envelope
   int samples = 48;
   int ppd = 50;
-  int max_followers = -1;          ///< < 0 = the default k (see below)
+  int max_followers = -1;          ///< -1 = the default k (see below)
 
   /// Adjoint sensitivity screen (MnaOptions::sensitivity_screen).  Omitted
   /// from the wire when true so existing requests keep their bytes.
@@ -101,9 +101,10 @@ struct CampaignJob {
 /// fault universe, up-to-k-followers configs minus transparent (k defaults
 /// to the opamp count, capped at 2 above five opamps), paper campaign
 /// options with the request's knobs.  Throws util::Error naming the field
-/// on an out-of-range knob (ppd < 1, samples < 1 with tol > 0,
-/// transient_steps < 0, transient_t_end negative or not finite), and on an
-/// unknown circuit, unparsable deck, or bad extra fault.
+/// on an out-of-range knob (ppd < 1, eps not finite, tol negative or not
+/// finite, samples < 1 with tol > 0, max_followers < -1, transient_steps
+/// < 0, transient_t_end negative or not finite), and on an unknown
+/// circuit, unparsable deck, or bad extra fault.
 CampaignJob BuildCampaignJob(const CampaignRequest& request);
 
 }  // namespace mcdft::core::server

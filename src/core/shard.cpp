@@ -308,7 +308,9 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
 
   // The units this run computes, in order, and their criteria from one
   // shared envelope pass over just their configurations (a configuration's
-  // criteria do not depend on which others share the pass).  A cancel
+  // criteria do not depend on which others share the pass), then the
+  // campaign's shared stamp deltas — none of it when every unit was
+  // resumed from the checkpoint.  A cancel
   // during the pass or at a unit boundary (inside RunCampaignUnit) loses
   // at most the work in flight: every completed unit is already durably
   // checkpointed, so a later run resumes cleanly.
@@ -319,14 +321,18 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
     todo.push_back(k);
   }
   std::vector<std::optional<testability::DetectionCriteria>> criteria;
+  std::optional<faults::FaultDeltaTable> deltas;
   if (!todo.empty()) {
     std::vector<ConfigVector> todo_configs;
     todo_configs.reserve(todo.size());
     for (const std::size_t k : todo) {
       todo_configs.push_back(configs[units[k].config]);
     }
-    util::trace::Span span("campaign.prepare");
-    criteria = PrepareCampaignCriteria(work, frame, todo_configs, options);
+    {
+      util::trace::Span span("campaign.prepare");
+      criteria = PrepareCampaignCriteria(work, frame, todo_configs, options);
+    }
+    deltas = BuildSharedFaultDeltas(work, frame, fault_list, options);
   }
   for (std::size_t t = 0; t < todo.size(); ++t) {
     const std::size_t k = todo[t];
@@ -335,7 +341,7 @@ ShardRunResult RunCampaignShard(const DftCircuit& circuit,
         unit, RunCampaignUnit(work, frame, configs[unit.config],
                               std::move(criteria[t]),
                               fault_list, unit.fault_begin, unit.fault_end,
-                              options)};
+                              options, deltas ? &*deltas : nullptr)};
     lines[k] = ShardUnitLine(*slots[k]);
     ++result.units_run;
     metrics::GetCounter("core.shard.units_run").Add();

@@ -1,10 +1,8 @@
 #include "faults/simulator.hpp"
 
 #include <cmath>
-#include <numbers>
 #include <optional>
 
-#include "faults/stamp_delta.hpp"
 #include "linalg/lowrank.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/sparse_lu.hpp"
@@ -115,17 +113,22 @@ struct ScreenPoint {
 /// quarantine verdicts are identical at any thread or shard count.
 class FreqMajorBlock {
  public:
+  /// Fault j of [fault_begin, fault_end) reads its stamp deltas from
+  /// `shared` when that covers it, from `local` otherwise.
   FreqMajorBlock(const spice::Netlist& base, double omega0,
                  const std::vector<Fault>& faults, std::size_t fault_begin,
-                 std::size_t fault_end)
+                 std::size_t fault_end, const FaultDeltaTable* shared,
+                 const FaultDeltaTable& local)
       : local_(base.Clone()), sys_(local_) {
     // Resolve each fault's target once: the per-point loop then skips the
     // name lookup (hash + case fold) on every (fault, frequency) pair.
     targets_.reserve(fault_end - fault_begin);
     for (std::size_t j = fault_begin; j < fault_end; ++j) {
       const std::string& device = faults[j].Device();
-      targets_.push_back(
-          Target{sys_.ElementIndexOf(device), &local_.GetElement(device)});
+      const FaultDeltaTable* deltas =
+          shared != nullptr && shared->Covers(j) ? shared : &local;
+      targets_.push_back(Target{sys_.ElementIndexOf(device),
+                                &local_.GetElement(device), deltas, j});
     }
     // The block's one Stamp pass: record the nominal stamp program at the
     // anchor point; every other point replays it (SolveNominal).
@@ -207,39 +210,46 @@ class FreqMajorBlock {
     return std::nullopt;
   }
 
-  /// Solve the bound point with fault `slot` of the block's range injected:
-  /// the sensitivity screen first (when `sp` is set), then an SMW
+  /// Solve the bound point `t` with fault `slot` of the block's range
+  /// injected: the sensitivity screen first (when `sp` is set), then an SMW
   /// rank-update when the stamp delta allows it, the exact ladder
   /// otherwise.  Returns the probe value, or nullopt when quarantined.
   std::optional<linalg::Complex> SolveFault(const Fault& fault,
-                                            std::size_t slot, double omega,
+                                            std::size_t slot, std::size_t t,
+                                            double omega,
                                             const spice::Probe& probe,
                                             const ScreenPoint* sp) {
     const Target& target = targets_[slot];
 
     // Stage 0: SMW rank-update against the bound nominal factorization.  A
     // declined update (rank cap, RHS delta, conditioning guard) is the
-    // normal exact fallback, not a retry; a *thrown* failure or non-finite
-    // value counts as one and escalates.
+    // normal exact fallback, not a retry; a *thrown* failure — the delta's
+    // computation included — or a non-finite value counts as one and
+    // escalates.
     if (smw_bound_) {
       bool smw_failed = false;
-      try {
-        if (FaultStampDelta::Compute(sys_, *target.element, target.index,
-                                     fault, spice::AnalysisKind::kAc, omega,
-                                     scratch_, delta_)) {
-          if (const std::optional<linalg::Complex> screened =
-                  TryScreen(fault, delta_, probe, sp)) {
-            return screened;
-          }
-          std::optional<linalg::Vector> x = smw_.Solve(delta_);
-          if (x) {
-            const linalg::Complex v = ProbeValue(probe, *x);
-            if (Finite(v)) return v;
+      switch (target.deltas->Read(target.fault, t, delta_)) {
+        case FaultDeltaTable::Outcome::kThrew:
+          smw_failed = true;
+          break;
+        case FaultDeltaTable::Outcome::kNotExpressible:
+          break;
+        case FaultDeltaTable::Outcome::kDelta:
+          try {
+            if (const std::optional<linalg::Complex> screened =
+                    TryScreen(fault, delta_, probe, sp)) {
+              return screened;
+            }
+            std::optional<linalg::Vector> x = smw_.Solve(delta_);
+            if (x) {
+              const linalg::Complex v = ProbeValue(probe, *x);
+              if (Finite(v)) return v;
+              smw_failed = true;
+            }
+          } catch (const util::Error&) {
             smw_failed = true;
           }
-        }
-      } catch (const util::Error&) {
-        smw_failed = true;
+          break;
       }
       if (smw_failed) RetryCounter().Add();
     }
@@ -248,10 +258,13 @@ class FreqMajorBlock {
   }
 
  private:
-  /// A fault's pre-resolved injection target.
+  /// A fault's pre-resolved injection target and the table holding its
+  /// stamp deltas.
   struct Target {
-    std::size_t index;        // MNA element index
-    spice::Element* element;  // element inside local_
+    std::size_t index;              // MNA element index
+    spice::Element* element;        // element inside local_
+    const FaultDeltaTable* deltas;  // covers `fault`
+    std::size_t fault;              // index into the fault list
   };
 
   /// Solve fault `slot` at the bound point exactly — everything after the
@@ -367,8 +380,7 @@ class FreqMajorBlock {
   std::optional<linalg::SparseLu> ref_lu_;    // anchor-ordering factorization
   std::optional<linalg::SparseLu> point_lu_;  // per-point ordering fallback
   linalg::LowRankUpdateSolver smw_;
-  FaultStampDelta::Scratch scratch_;
-  linalg::LowRankPerturbation delta_;
+  linalg::LowRankPerturbation delta_;  // the current cell's, from a table
   bool smw_bound_ = false;  // SMW holds a valid nominal at this point
   // Sensitivity-screen state of the bound point (see TryScreen).
   linalg::SparseLu* bound_lu_ = nullptr;  // factorization behind smw_
@@ -382,11 +394,13 @@ class FreqMajorBlock {
 std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
     const std::vector<Fault>& faults, std::size_t fault_begin,
     std::size_t fault_end, std::size_t threads,
-    const SensitivityScreenSpec* screen) const {
+    const SensitivityScreenSpec* screen, const FaultDeltaTable* deltas) const {
   static metrics::Counter& nominal_sweeps =
       metrics::GetCounter("faults.sim.nominal_sweeps");
   static metrics::Counter& fault_sweeps =
       metrics::GetCounter("faults.sim.fault_sweeps");
+  static metrics::Counter& unit_deltas =
+      metrics::GetCounter("faults.sim.unit_deltas");
   if (fault_end > faults.size() || fault_begin > fault_end) {
     throw util::AnalysisError("fault range out of bounds");
   }
@@ -397,7 +411,26 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
 
   const std::vector<double>& freqs = sweep_.Frequencies();
   const std::size_t points = freqs.size();
-  constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+  // The range's stamp deltas: the shared table's, and before the sweep the
+  // entries it does not cover, computed on this netlist.  Computing an
+  // entry ahead of its cell is unobservable — Compute touches no counter
+  // or faultpoint, and the armed smw.solve faultpoint digests the delta's
+  // bytes, not when they were made.
+  if (deltas != nullptr) deltas->CheckBuiltFor(faults, freqs);
+  std::vector<bool> missing(faults.size(), false);
+  bool any_missing = false;
+  for (std::size_t j = fault_begin; j < fault_end; ++j) {
+    if (deltas == nullptr || !deltas->Covers(j)) {
+      missing[j] = true;
+      any_missing = true;
+    }
+  }
+  FaultDeltaTable local;
+  if (any_missing) {
+    local = FaultDeltaTable(work_, freqs, faults, missing);
+    unit_deltas.Add(local.EntryCount());
+  }
 
   std::vector<spice::FrequencyResponse> out(1 + count);
   out[0].label = "nominal";
@@ -434,11 +467,12 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
     reference.values.assign(points, linalg::Complex(0.0, 0.0));
     util::ParallelForRange(
         threads, points, [&](std::size_t begin, std::size_t end) {
-          FreqMajorBlock block(work_, kTwoPi * freqs[0], faults, fault_begin,
-                               fault_begin);  // nominal only
+          FreqMajorBlock block(work_, SweepOmega(freqs, 0), faults,
+                               fault_begin, fault_begin,  // nominal only
+                               deltas, local);
           for (std::size_t t = begin; t < end; ++t) {
             const std::optional<linalg::Complex> nominal =
-                block.SolveNominal(t, kTwoPi * freqs[t], probe_);
+                block.SolveNominal(t, SweepOmega(freqs, t), probe_);
             if (nominal) reference.values[t] = *nominal;
           }
         });
@@ -447,10 +481,10 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
 
   util::ParallelForRange(
       threads, points, [&](std::size_t begin, std::size_t end) {
-        FreqMajorBlock block(work_, kTwoPi * freqs[0], faults, fault_begin,
-                             fault_end);
+        FreqMajorBlock block(work_, SweepOmega(freqs, 0), faults,
+                             fault_begin, fault_end, deltas, local);
         for (std::size_t t = begin; t < end; ++t) {
-          const double omega = kTwoPi * freqs[t];
+          const double omega = SweepOmega(freqs, t);
           const std::optional<linalg::Complex> nominal =
               block.SolveNominal(t, omega, probe_);
           if (!nominal) {
@@ -469,7 +503,7 @@ std::vector<spice::FrequencyResponse> FaultSimulator::SimulateRange(
                         : ScreenPoint{};
           for (std::size_t j = 0; j < count; ++j) {
             const std::optional<linalg::Complex> v =
-                block.SolveFault(faults[fault_begin + j], j, omega, probe_,
+                block.SolveFault(faults[fault_begin + j], j, t, omega, probe_,
                                  screening ? &sp : nullptr);
             if (v) {
               out[1 + j].values[t] = *v;

@@ -7,6 +7,7 @@
 // every point assembled and factored afresh by spice::MnaSystem::Solve.
 #pragma once
 
+#include "faults/delta_table.hpp"
 #include "faults/fault_list.hpp"
 #include "faults/injector.hpp"
 #include "faults/sensitivity_screen.hpp"
@@ -66,10 +67,19 @@ class FaultSimulator {
   /// sensitivity_screen.hpp; leapfrog is a known exception); only
   /// the stored deviation magnitudes of skipped cells differ, which is why
   /// the campaign content hash folds the effective screen gate in.
+  ///
+  /// Every fault's stamp delta is read from a FaultDeltaTable.  `deltas`
+  /// is the campaign's shared table (built for exactly `faults` on this
+  /// sweep's grid, else util::AnalysisError); before the sweep, the entries
+  /// of range faults it does not cover — all of them without one — are
+  /// computed into a range-local table (counted in
+  /// `faults.sim.unit_deltas`).  Either way each entry holds the bits
+  /// FaultStampDelta::Compute gives on this netlist at that point.
   std::vector<spice::FrequencyResponse> SimulateRange(
       const std::vector<Fault>& faults, std::size_t fault_begin,
       std::size_t fault_end, std::size_t threads,
-      const SensitivityScreenSpec* screen = nullptr) const;
+      const SensitivityScreenSpec* screen = nullptr,
+      const FaultDeltaTable* deltas = nullptr) const;
 
   /// Time-domain analogue of SimulateRange: trapezoidal step-response
   /// trajectories of the nominal circuit and of faults

@@ -20,6 +20,7 @@
 #include "core/shard.hpp"
 #include "faults/fault_list.hpp"
 #include "util/faultpoint.hpp"
+#include "util/metrics.hpp"
 
 namespace mcdft::core {
 namespace {
@@ -132,10 +133,19 @@ class Resilience : public ::testing::Test {
 TEST_F(Resilience, PoisonedFaultQuarantinesAndIsCountedUndetected) {
   const Prepared p = PreparePoisonedBiquad();
   const CampaignOptions options = FastOptions();
+  const util::metrics::ScopedEnable metrics_on;
+  const util::metrics::Snapshot before = util::metrics::Capture();
   const CampaignResult campaign =
       RunCampaign(p.circuit, p.fault_list, p.configs, options);
+  const util::metrics::Snapshot delta =
+      util::metrics::Delta(before, util::metrics::Capture());
 
   ASSERT_GT(campaign.QuarantinedCellCount(), 0u);
+  // A poisoned cell's stamp delta throws (the faulty value overflows):
+  // one retry, then the exact ladder's injection throws too, a second
+  // retry, and the cell quarantines.  Nothing else retries.
+  EXPECT_EQ(delta.CounterValue("faults.sim.retries"),
+            2 * campaign.QuarantinedCellCount());
 
   // The poisoned fault is the last in the list; it must be quarantined at
   // every grid point of every configuration and counted undetected there.

@@ -171,6 +171,14 @@ TEST(ServerDaemon, OutOfRangeSubmitFieldErrorsOverTheWire) {
   EXPECT_FALSE(bad.Get("ok").AsBool());
   EXPECT_NE(bad.Get("error").AsString().find("samples"), std::string::npos);
 
+  // A negative tolerance is an error, not the envelope switched off.
+  json::Value negative_tol = RoundTrip(
+      *conn, R"({"op":"submit","circuit":"biquad","tol":-0.03})");
+  EXPECT_FALSE(negative_tol.Get("ok").AsBool());
+  EXPECT_NE(negative_tol.Get("error").AsString().find("'tol'"),
+            std::string::npos)
+      << negative_tol.Serialize(0);
+
   // The connection still serves after the rejected submit.
   json::Value pong = RoundTrip(*conn, R"({"op":"ping"})");
   EXPECT_TRUE(pong.Get("ok").AsBool());
@@ -362,7 +370,10 @@ TEST(ServerDaemon, CliRejectsOutOfRangeRequestFields) {
                        Case{"--no-screnn", "--no-screnn", 2},
                        Case{"--eps abc", "--eps"},
                        Case{"--ppd 12x", "--ppd"},
-                       Case{"--samples abc", "--samples"}}) {
+                       Case{"--samples abc", "--samples"},
+                       Case{"--tol -0.03", "'tol'"},
+                       Case{"--eps inf", "'eps'"},
+                       Case{"--max-followers -5", "'max_followers'"}}) {
     EXPECT_EQ(RunCmd(cli + " analyze --circuit biquad " + c.flags +
                      " > /dev/null 2> " + err),
               c.exit_code)

@@ -56,8 +56,10 @@ NIGHTLY_FAULT_SPEC='checkpoint.write.short:0.25:1234,checkpoint.write.fsync:0.10
 # counts 1-4, in shard merges and under a mid-pass cancel), the pool,
 # solver reuse, the frequency-major low-rank fault
 # solves (including the adjoint sensitivity screen and its shard merges),
-# the transient march at 1, 2 and 8 threads and its zoo pins, the shard
-# path through the shared campaign-unit executor (AC and
+# the campaign's shared stamp-delta table (every unit worker reads it
+# concurrently: SharedFaultDeltas, and the CampaignSweepPins zoo pins under
+# Campaign*), the transient march at 1, 2 and 8 threads and its zoo pins,
+# the shard path through the shared campaign-unit executor (AC and
 # transient shard merges, and the poisoned shard contract on every solve
 # path), the metrics/trace/run-report layer
 # (striped counters are updated from every pool worker), and the daemon
@@ -65,7 +67,7 @@ NIGHTLY_FAULT_SPEC='checkpoint.write.short:0.25:1234,checkpoint.write.fsync:0.10
 # threads, request cancellation/deadlines (tokens fired across threads
 # mid-campaign), socket timeout reaping, and the sharded LRU / result /
 # shared-factor caches.
-PARALLEL_FILTER='Campaign*:TransientCampaign.*:WholeUnitScheduling*:ToleranceEnvelope*:Parallel*:SolverReuse*:LowRank*:*Screen*:ShardMerge*:TransientShardMerge*:Resilience.ShardContractHoldsOnEverySolvePath:Metrics*:Trace*:RunReport*:*Server*:*Daemon*:*Cache*:Lru*:*Cancel*:UtilSocket*'
+PARALLEL_FILTER='Campaign*:SharedFaultDeltas.*:TransientCampaign.*:WholeUnitScheduling*:ToleranceEnvelope*:Parallel*:SolverReuse*:LowRank*:*Screen*:ShardMerge*:TransientShardMerge*:Resilience.ShardContractHoldsOnEverySolvePath:Metrics*:Trace*:RunReport*:*Server*:*Daemon*:*Cache*:Lru*:*Cancel*:UtilSocket*'
 
 if [[ "$run_tier1" == 1 ]]; then
   echo "=== tier-1: configure + build + ctest ==="

@@ -20,7 +20,8 @@
 //
 // Campaign knobs:
 //   --eps X                    tester accuracy (default 0.08)
-//   --tol X                    process tolerance (default 0.03; 0 = off)
+//   --tol X                    process tolerance (default 0.03; 0 = off,
+//                              negative or non-finite is an error)
 //   --samples N                Monte-Carlo samples (default 48)
 //   --ppd N                    sweep points per decade (default 50)
 //   --max-followers K          structural config pre-selection
